@@ -2,7 +2,7 @@
 // two ExOS processes that talk through an application-level pipe, and poke
 // at the secure-binding API. Build and run:
 //
-//   cmake -B build -G Ninja && cmake --build build
+//   cmake -B build -S . && cmake --build build -j
 //   ./build/examples/quickstart
 #include <cstdio>
 

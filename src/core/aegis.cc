@@ -713,8 +713,14 @@ void Aegis::SysBlock() {
 void Aegis::SysSleep(uint64_t cycles) {
   SyscallScope scope(*this, xtrace::Sys::kSleep);
   machine_.Charge(kSyscallEntry + Instr(6));
-  priv_.ScheduleEvent(cycles, hw::InterruptSource::kAlarm, cur().current);
+  Env& env = CurrentEnv();
+  // The alarm carries the sleep's generation; bumping it again on return
+  // disarms the alarm, so whichever wake ends this sleep, a late alarm can
+  // never cut a later SysBlock or SysSleep short.
+  const uint64_t gen = ++env.alarm_gen;
+  priv_.ScheduleEvent(cycles, hw::InterruptSource::kAlarm, (gen << 32) | env.id);
   SysBlock();
+  ++env.alarm_gen;
 }
 
 Status Aegis::SysWake(EnvId id, const Capability& env_cap) {
@@ -1116,7 +1122,8 @@ void Aegis::OnInterrupt(hw::InterruptSource source, uint64_t payload) {
       break;
     case hw::InterruptSource::kAlarm: {
       Env* sleeper = FindEnv(static_cast<EnvId>(payload));
-      if (sleeper != nullptr && sleeper->state != EnvState::kExited) {
+      if (sleeper != nullptr && sleeper->state != EnvState::kExited &&
+          (payload >> 32) == sleeper->alarm_gen) {
         WakeEnvInternal(*sleeper);
       }
       break;

@@ -212,7 +212,12 @@ class Aegis final : public hw::TrapSink {
   void SysYield(EnvId target = kAnyEnv);
   // Blocks until another environment or a kernel event wakes this one.
   void SysBlock();
-  // Blocks for at least `cycles` (one-shot alarm + block).
+  // Blocks until a wake reaches this env or `cycles` elapse, whichever is
+  // first: the one deadline wait libraries build event-driven loops from.
+  // Any wake ends it early (a frame's doorbell, SysWake, a latched
+  // wake-pending, a peer's death), so callers that need the full interval
+  // re-check the clock. The alarm dies with the sleep: it can never end a
+  // later SysBlock or SysSleep.
   void SysSleep(uint64_t cycles);
   // Wakes `env`; requires its environment capability.
   Status SysWake(EnvId env, const cap::Capability& env_cap);

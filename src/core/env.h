@@ -93,6 +93,11 @@ struct Env {
   // through a lost wakeup.
   bool wake_pending = false;
 
+  // Generation of the env's SysSleep alarm, carried in the alarm's payload.
+  // Odd while a sleep is in progress; an alarm whose generation no longer
+  // matches belongs to a sleep that already ended and is ignored.
+  uint32_t alarm_gen = 0;
+
   // Scheduling accounting.
   uint64_t slices_run = 0;
   uint32_t excess_penalty = 0;  // Slices to forfeit (epilogue overruns).

@@ -99,7 +99,7 @@ struct WorkloadConfig {
   // boot, not the service.
   bool warmup = true;
   uint64_t warmup_probe_cycles = 1'000'000;  // Probe retransmit interval.
-  // Poll a RevocationClient on idle ticks: under a resource-pressure
+  // Poll a RevocationClient before each wait: under a resource-pressure
   // storm (the chaos arm) the client's own filter, ring, or pages can be
   // revoked, and a measurement client that silently goes deaf would
   // report server failures that are really its own.

@@ -40,13 +40,13 @@ enum class ChildState : uint8_t {
 struct ChildSpec {
   std::string name;
   std::function<void(Process&)> body;
-  Process::Options options;
+  Process::Options options{};
   RestartPolicy policy = RestartPolicy::kOnFailure;
   // Observation hook, fired from the supervisor's fiber on every
   // supervision-state transition (respawned, backing off, done, failed).
   // Pure library policy: the server libOS uses it to re-steer a dead
   // shard's traffic to a sibling while the child is down.
-  std::function<void(ChildState)> on_state_change;
+  std::function<void(ChildState)> on_state_change{};
   // Restarts allowed before the child is declared permanently failed
   // (crash-loop breaker).
   uint32_t max_restarts = 4;

@@ -299,10 +299,13 @@ void Ultrix::OnInterrupt(hw::InterruptSource source, uint64_t payload) {
     case hw::InterruptSource::kAlarm:
       Wakeup(static_cast<Pid>(payload));
       break;
+    // No disk driver, fault plan, power sensor, second CPU, or pressure
+    // engine in the baseline kernel: these sources never fire here.
     case hw::InterruptSource::kDiskDone:
     case hw::InterruptSource::kFault:
     case hw::InterruptSource::kPowerFail:
     case hw::InterruptSource::kIpi:
+    case hw::InterruptSource::kPressure:
       break;
   }
 }

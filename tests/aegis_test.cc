@@ -114,6 +114,48 @@ TEST_F(AegisTest, BlockAndWake) {
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
 }
 
+// SysSleep is "block until a wake or the deadline": a peer's wake ends it
+// early, and the alarm it armed dies with it. A stale alarm that outlived
+// its sleep would cut the sleeper's next SysBlock short at ~1M cycles
+// instead of letting it wait for the peer's second wake at ~5M.
+TEST_F(AegisTest, SleepAlarmDiesWithTheSleep) {
+  constexpr uint64_t kSleepCycles = 1'000'000;
+  constexpr uint64_t kSecondWakeAt = 5'000'000;
+  EnvId sleeper_id = kNoEnv;
+  cap::Capability sleeper_cap;
+  uint64_t sleep_ended = 0;
+  uint64_t block_ended = 0;
+  uint64_t untouched_sleep = 0;
+  EnvSpec sleeper;
+  sleeper.entry = [&] {
+    kernel_.SysSleep(kSleepCycles);
+    sleep_ended = kernel_.SysGetCycles();
+    kernel_.SysBlock();
+    block_ended = kernel_.SysGetCycles();
+    // With nobody to wake it, a sleep lasts its full interval.
+    const uint64_t before = kernel_.SysGetCycles();
+    kernel_.SysSleep(kSleepCycles);
+    untouched_sleep = kernel_.SysGetCycles() - before;
+  };
+  EnvSpec waker;
+  waker.entry = [&] {
+    kernel_.SysYield(sleeper_id);  // The sleeper arms its alarm and blocks.
+    EXPECT_EQ(kernel_.SysWake(sleeper_id, sleeper_cap), Status::kOk);
+    kernel_.SysSleep(kSecondWakeAt - kernel_.SysGetCycles());
+    EXPECT_EQ(kernel_.SysWake(sleeper_id, sleeper_cap), Status::kOk);
+  };
+  Result<EnvGrant> gs = kernel_.CreateEnv(std::move(sleeper));
+  ASSERT_TRUE(gs.ok());
+  sleeper_id = gs->env;
+  sleeper_cap = gs->cap;
+  ASSERT_TRUE(kernel_.CreateEnv(std::move(waker)).ok());
+  kernel_.Run();
+  EXPECT_GT(sleep_ended, 0u);
+  EXPECT_LT(sleep_ended, 10'000u);  // Ended by the wake, not the alarm.
+  EXPECT_GE(block_ended, kSecondWakeAt);  // Not by the stale 1M alarm.
+  EXPECT_GE(untouched_sleep, kSleepCycles);
+}
+
 TEST_F(AegisTest, WakeWithForgedCapabilityDenied) {
   EnvId sleeper_id = kNoEnv;
   cap::Capability sleeper_cap;
