@@ -9,8 +9,15 @@
 // access), so each server machine's disk is the natural bottleneck and
 // adding machines must add throughput.
 //
+// Each arm runs kScalingSeeds seeds (kSeed, kSeed+1, ...) and reports the
+// pooled rate: every acked request over the summed measured time. One
+// 180-request run ends when its slowest lane does, so a single seed's rate
+// swings with which lane's GETs happen to queue behind a 10 ms journal
+// write (the 4-machine speedup ranges 2.3x-4.3x across seeds); pooling
+// measures the rack rather than that luck.
+//
 // Contracts (nonzero exit on violation):
-//   * scaling floor: 4 machines >= 2.5x the 1-machine aggregate rate
+//   * scaling floor: 4 machines >= 2.5x the 1-machine pooled rate
 //     (sub-linear is expected — consistent hashing balances keys, not
 //     perfectly — but a rack that doesn't scale is a regression);
 //   * every arm serves every request: corrupt == gave_up == 0, audits
@@ -38,8 +45,9 @@ using exos::server::RackResult;
 using exos::server::RunRack;
 
 constexpr uint64_t kSeed = 17;
+constexpr uint32_t kScalingSeeds = 8;
 
-RackConfig ScalingConfig(uint32_t servers) {
+RackConfig ScalingConfig(uint32_t servers, uint64_t seed = kSeed) {
   RackConfig config;
   config.server_machines = servers;
   config.cpus_per_server = 2;
@@ -53,7 +61,7 @@ RackConfig ScalingConfig(uint32_t servers) {
   config.vnodes = 16;
   config.value_bytes = 64;
   config.put_per_mille = 500;  // Write-heavy: the disk is the bottleneck.
-  config.seed = kSeed;
+  config.seed = seed;
   return config;
 }
 
@@ -82,56 +90,107 @@ RackResult MustRun(const RackConfig& config, const char* what) {
   return r;
 }
 
+// One arm's seeds pooled: counts summed, rate = acked / summed time.
+struct Arm {
+  uint32_t servers = 0;
+  uint64_t acked = 0;
+  uint64_t corrupt = 0;
+  uint64_t gave_up = 0;
+  uint64_t resteered = 0;
+  uint64_t retransmissions = 0;
+  uint64_t elapsed_cycles = 0;
+  std::vector<uint64_t> acked_by_server;
+  std::vector<double> seed_rps;
+  bool audits_ok = true;
+  std::string audit_error;
+
+  double rps() const {
+    return static_cast<double>(acked) * hw::kClockHz /
+           static_cast<double>(std::max<uint64_t>(elapsed_cycles, 1));
+  }
+};
+
+Arm RunArm(uint32_t servers) {
+  Arm arm;
+  arm.servers = servers;
+  arm.acked_by_server.assign(servers, 0);
+  for (uint32_t i = 0; i < kScalingSeeds; ++i) {
+    const RackResult r = MustRun(ScalingConfig(servers, kSeed + i), "scaling");
+    arm.acked += r.acked;
+    arm.corrupt += r.corrupt;
+    arm.gave_up += r.gave_up;
+    arm.resteered += r.resteered;
+    arm.retransmissions += r.retransmissions;
+    arm.elapsed_cycles += r.elapsed_cycles;
+    for (uint32_t s = 0; s < servers; ++s) {
+      arm.acked_by_server[s] += r.acked_by_server[s];
+    }
+    arm.seed_rps.push_back(r.aggregate_rps);
+    if (!r.audits_ok && arm.audits_ok) {
+      arm.audits_ok = false;
+      arm.audit_error = r.audit_error;
+    }
+  }
+  return arm;
+}
+
 void PrintPaperTables() {
-  struct Arm {
-    uint32_t servers;
-    RackResult r;
-  };
   std::vector<Arm> arms;
   for (const uint32_t servers : {1u, 2u, 4u}) {
-    arms.push_back({servers, MustRun(ScalingConfig(servers), "scaling")});
+    arms.push_back(RunArm(servers));
   }
-  const double base = arms.front().r.aggregate_rps;
+  const Arm& one = arms.front();
+  const double base = one.rps();
 
   Table table(
       "Ablation: rack scaling — aggregate closed-loop HTTP/KV throughput "
-      "(6 lanes, 50% PUT, journaled stores)",
+      "(6 lanes, 50% PUT, journaled stores; " +
+          std::to_string(kScalingSeeds) + " seeds pooled)",
       {"server machines", "CPUs total", "aggregate r/s", "speedup", "acked",
        "resteered", "rdp retransmits", "busiest/ideal"});
   for (const Arm& arm : arms) {
     uint64_t busiest = 0;
-    for (const uint64_t a : arm.r.acked_by_server) {
+    for (const uint64_t a : arm.acked_by_server) {
       busiest = std::max(busiest, a);
     }
     const double ideal =
-        static_cast<double>(arm.r.acked) / arm.r.acked_by_server.size();
+        static_cast<double>(arm.acked) / arm.acked_by_server.size();
     table.AddRow({std::to_string(arm.servers),
-                  std::to_string(arm.servers * 2), FmtUs(arm.r.aggregate_rps),
-                  FmtX(arm.r.aggregate_rps / base),
-                  std::to_string(arm.r.acked),
-                  std::to_string(arm.r.resteered),
-                  std::to_string(arm.r.retransmissions),
+                  std::to_string(arm.servers * 2), FmtUs(arm.rps()),
+                  FmtX(arm.rps() / base), std::to_string(arm.acked),
+                  std::to_string(arm.resteered),
+                  std::to_string(arm.retransmissions),
                   FmtX(static_cast<double>(busiest) / ideal)});
   }
   table.Print();
 
   bool healthy = true;
   for (const Arm& arm : arms) {
-    if (arm.r.corrupt != 0 || arm.r.gave_up != 0 || !arm.r.audits_ok) {
+    if (arm.corrupt != 0 || arm.gave_up != 0 || !arm.audits_ok) {
       std::fprintf(stderr,
                    "rack %u-machine arm unhealthy: corrupt=%llu gave_up=%llu "
                    "audits=%s\n",
-                   arm.servers,
-                   static_cast<unsigned long long>(arm.r.corrupt),
-                   static_cast<unsigned long long>(arm.r.gave_up),
-                   arm.r.audits_ok ? "ok" : arm.r.audit_error.c_str());
+                   arm.servers, static_cast<unsigned long long>(arm.corrupt),
+                   static_cast<unsigned long long>(arm.gave_up),
+                   arm.audits_ok ? "ok" : arm.audit_error.c_str());
       healthy = false;
     }
   }
-  const double speedup = arms.back().r.aggregate_rps / base;
+  const Arm& four = arms.back();
+  double lo = 1e300;
+  double hi = 0;
+  for (uint32_t i = 0; i < kScalingSeeds; ++i) {
+    const double x = four.seed_rps[i] / one.seed_rps[i];
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  std::printf("Per-seed 4-machine speedup: %.2fx to %.2fx (seeds %llu-%llu)\n",
+              lo, hi, static_cast<unsigned long long>(kSeed),
+              static_cast<unsigned long long>(kSeed + kScalingSeeds - 1));
+  const double speedup = four.rps() / base;
   std::printf(
       "Scaling floor: 4 server machines deliver %.2fx the 1-machine "
-      "aggregate (contract: >= 2.50x) — %s\n",
+      "pooled aggregate (contract: >= 2.50x) — %s\n",
       speedup, speedup >= 2.5 ? "contract holds" : "CONTRACT BROKEN");
   if (speedup < 2.5 || !healthy) {
     std::abort();
