@@ -56,6 +56,11 @@ inline constexpr size_t kMaxKeyBytes = LibFs::kMaxNameBytes;
 inline constexpr size_t kMaxValueBytes = 512;
 inline constexpr size_t kMaxRequestLine = 128;  // Bytes before CRLF.
 inline constexpr size_t kMaxHeaderBytes = 256;  // Total header section.
+// The QUIT handshake's two-generals tail: a worker keeps answering for this
+// long after its QUIT, since the QUIT's reply can be lost like any frame.
+// A client retransmits an unanswered QUIT at least every kQuitGraceCycles/4,
+// so a retransmission always lands inside the grace.
+inline constexpr uint64_t kQuitGraceCycles = 1'000'000;
 
 // FNV-1a over the key; the low bits pick the shard byte.
 uint32_t KeyHash(std::string_view key);
