@@ -479,15 +479,21 @@ void Aegis::NudgeCpusFor(const Env& env) {
 
 bool Aegis::AnyLive() const { return live_envs_ > 0; }
 
+bool Aegis::RunnableOn(const Env& env, uint32_t cpu_index) const {
+  return env.state == EnvState::kRunnable && env.on_cpu == kNoCpu && !env.kill_pending &&
+         (machine_.cpu_count() == 1 || env.slot_mask == 0 ||
+          (env.slot_mask & (1ULL << cpu_index)) != 0);
+}
+
 EnvId Aegis::NextRunnable(uint32_t cpu_index) {
   CpuSched& cpu = cpu_[cpu_index];
   const uint32_t n = static_cast<uint32_t>(cpu.slice_vector.size());
-  for (uint32_t step = 0; step < n; ++step) {
-    const uint32_t pos = (cpu.slice_cursor + step) % n;
+  uint32_t pos = cpu.slice_cursor;  // In [0, n]: one past the last pick.
+  for (uint32_t step = 0; step < n; ++step, ++pos) {
+    pos = pos == n ? 0 : pos;
     const EnvId id = cpu.slice_vector[pos];
-    Env* env = FindEnv(id);
-    if (env == nullptr || env->state != EnvState::kRunnable ||
-        env->on_cpu != kNoCpu || env->kill_pending) {
+    Env* env = id == kNoEnv ? nullptr : FindEnv(id);
+    if (env == nullptr || !RunnableOn(*env, cpu_index)) {
       continue;
     }
     if (env->excess_penalty > 0) {
@@ -550,6 +556,7 @@ void Aegis::Run() {
 
 void Aegis::RunCpu(uint32_t cpu_index) {
   CpuSched& cpu = cpu_[cpu_index];
+  const auto runnable_here = [&](const auto& env) { return RunnableOn(*env, cpu_index); };
   while (AnyLive() && !powered_off_) {
     EnvId next = kNoEnv;
     bool donated = false;
@@ -571,33 +578,20 @@ void Aegis::RunCpu(uint32_t cpu_index) {
       // anyway rather than idling the processor. A CPU prefers envs
       // holding one of its slots; an env with no slots anywhere may land
       // on any processor.
-      for (const auto& env : envs_) {
-        if (env->state == EnvState::kRunnable && env->on_cpu == kNoCpu &&
-            !env->kill_pending &&
-            (machine_.cpu_count() == 1 || env->slot_mask == 0 ||
-             (env->slot_mask & (1ULL << cpu_index)) != 0)) {
-          next = env->id;
-          break;
-        }
-      }
+      const auto it = std::find_if(envs_.begin(), envs_.end(), runnable_here);
+      next = it != envs_.end() ? (*it)->id : kNoEnv;
     }
     if (next == kNoEnv) {
       priv_.ClearSliceDeadline();
       // That clear charged cycles, and any charge may deliver a due
       // interrupt (in a World it may even yield to another machine
-      // first, advancing the clock by thousands of cycles). If the
-      // delivery woke an env, parking now would strand a runnable env
-      // behind an empty event queue — a lost wakeup. Re-scan before
-      // committing to idle.
-      bool woke = false;
-      for (const auto& env : envs_) {
-        if (env->state == EnvState::kRunnable && env->on_cpu == kNoCpu &&
-            !env->kill_pending) {
-          woke = true;
-          break;
-        }
+      // first, advancing the clock by thousands of cycles). If that woke
+      // an env this CPU may run, parking would strand it behind an empty
+      // event queue — a lost wakeup — so re-scan. An env woken with its
+      // slots elsewhere was IPI'd to them by the wake; otherwise halt.
+      if (std::none_of(envs_.begin(), envs_.end(), runnable_here)) {
+        machine_.WaitForInterrupt();
       }
-      if (!woke) machine_.WaitForInterrupt();
       continue;
     }
     Env& env = *FindEnv(next);
@@ -623,6 +617,9 @@ void Aegis::RunCpu(uint32_t cpu_index) {
     env.counters.cycles_on_cpu += machine_.clock().now() - resumed_at;
     env.on_cpu = kNoCpu;
     cpu.current = kNoEnv;
+    if (env.state == EnvState::kRunnable && !env.kill_pending) {
+      NudgeCpusFor(env);  // Still runnable: a parked CPU holding its slot may run it.
+    }
   }
   priv_.ClearSliceDeadline();
 }
@@ -2248,6 +2245,10 @@ uint32_t Aegis::RevokeSlices(EnvId victim_id, uint32_t slots, uint32_t min_keep)
   if (removed > 0) {
     victim->counters.slices_revoked += removed;
     Trace(xtrace::Event::kSliceRevoke, victim_id, removed, victim->slice_slots);
+    if (victim->slot_mask == 0 && victim->state == EnvState::kRunnable &&
+        victim->on_cpu == kNoCpu) {
+      NudgeCpusFor(*victim);  // Slot-less, it may now land on any CPU.
+    }
   }
   return removed;
 }

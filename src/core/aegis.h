@@ -539,12 +539,22 @@ class Aegis final : public hw::TrapSink {
   // Cross-CPU wake kick: IPIs every parked CPU holding one of `env`'s
   // slice slots so it leaves WaitForInterrupt and rescans. No-op on a
   // single-CPU machine (the one CPU is the caller).
+  // Invariant: an idle CPU halts unless an env it may run is runnable
+  // (RunnableOn), so every transition that makes an env runnable on a
+  // parked CPU must nudge it: CreateEnv, SysWake, WakeEnvInternal, the
+  // release of a still-runnable env at the end of its turn, and
+  // RevokeSlices taking an env's last slot. GrantSlice needs none: only
+  // CreateEnv and the running env itself call it.
   void NudgeCpusFor(const Env& env);
 
   // Scheduler helpers. The per-CPU loop body and the slice scan both act
   // on one CPU's slice vector.
   void RunCpu(uint32_t cpu_index);
   EnvId NextRunnable(uint32_t cpu_index);
+  // True if CPU `cpu_index` may run `env` now: runnable, on no CPU, not
+  // being killed, and holding a slot here unless it may land anywhere (a
+  // uniprocessor, or an env with no slots at all).
+  bool RunnableOn(const Env& env, uint32_t cpu_index) const;
   bool AnyLive() const;
   // Least-loaded CPU admitted by `mask` (fewest owned slice slots; lowest
   // index breaks ties). Returns kNoCpu if the mask admits none.

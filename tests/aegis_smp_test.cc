@@ -3,6 +3,7 @@
 // single-CPU behaviour is covered by aegis_test.cc (and must not change).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -399,6 +400,157 @@ TEST_F(AegisSmpTest, SmpStrideHandsOffIdleCpus) {
   // CPUs 1-3 contributed 60 slices, every one a hand-off.
   EXPECT_GE(stride.handoffs(), 60u);
   EXPECT_EQ(stride.allocations()[0] + stride.allocations()[1], 80u);
+}
+
+TEST(AegisSmpIdleTest, IdleCpuHaltsWhileAPinnedSiblingIsBusy) {
+  // Two envs pinned to CPU 0: A computes ~1M cycles while B stays runnable
+  // (it yields until A is done). CPU 1 owns nothing either could run, so
+  // it must halt rather than re-scan in lock-step with CPU 0; its clock
+  // stays near where it parked.
+  hw::Machine machine(hw::Machine::Config{.phys_pages = 64, .name = "idle", .cpus = 2});
+  Aegis kernel(machine);
+  bool a_done = false;
+  EnvSpec a;
+  a.cpu_mask = 1ULL << 0;
+  a.entry = [&] {
+    for (int i = 0; i < 1000; ++i) {
+      machine.Charge(1000);
+    }
+    a_done = true;
+  };
+  ASSERT_TRUE(kernel.CreateEnv(std::move(a)).ok());
+  EnvSpec b;
+  b.cpu_mask = 1ULL << 0;
+  b.entry = [&] {
+    while (!a_done) {
+      kernel.SysYield();
+    }
+  };
+  ASSERT_TRUE(kernel.CreateEnv(std::move(b)).ok());
+
+  kernel.Run();
+  const uint64_t busy = machine.cpu(0).clock().now();
+  const uint64_t idle = machine.cpu(1).clock().now();
+  EXPECT_GE(busy, 1'000'000u);
+  EXPECT_LT(idle, busy / 10) << "CPU 1 spun alongside CPU 0 instead of halting";
+  EXPECT_TRUE(kernel.AuditInvariants().ok());
+}
+
+TEST(AegisSmpIdleTest, SliceEndReleaseReachesAParkedCpuHoldingTheEnvsSlot) {
+  // X starts on CPU 0 (lowest-index tie-break) and grows a slot onto CPU 1,
+  // which parked at boot: it owned nothing and Y is pinned to CPU 0. Both
+  // compute for ~1M cycles. When X's slice on CPU 0 ends, CPU 0 moves on
+  // to Y, and only the release's nudge restarts CPU 1 to run X; without
+  // it X and Y share CPU 0 and the run takes ~2M cycles.
+  hw::Machine machine(hw::Machine::Config{.phys_pages = 64, .name = "release", .cpus = 2});
+  Aegis kernel(machine);
+  constexpr uint64_t kWork = 1'000'000;
+  const auto compute = [&] {
+    for (uint64_t done = 0; done < kWork; done += 1000) {
+      machine.Charge(1000);
+    }
+  };
+  uint64_t x_migrations = 0;
+  EnvSpec x;
+  x.cpu_mask = (1ULL << 0) | (1ULL << 1);
+  x.entry = [&] {
+    ASSERT_EQ(kernel.SysAllocSlice(1), Status::kOk);
+    compute();
+    Result<EnvStats> stats = kernel.SysEnvStats(kernel.SysSelf());
+    ASSERT_TRUE(stats.ok());
+    x_migrations = stats->counters.migrations;
+  };
+  ASSERT_TRUE(kernel.CreateEnv(std::move(x)).ok());
+  EnvSpec y;
+  y.cpu_mask = 1ULL << 0;
+  y.entry = compute;
+  ASSERT_TRUE(kernel.CreateEnv(std::move(y)).ok());
+
+  kernel.Run();
+  const uint64_t makespan =
+      std::max(machine.cpu(0).clock().now(), machine.cpu(1).clock().now());
+  EXPECT_GT(x_migrations, 0u) << "X never ran on CPU 1";
+  EXPECT_LT(makespan, kWork * 3 / 2) << "X and Y shared CPU 0 while CPU 1 stayed parked";
+  EXPECT_TRUE(kernel.AuditInvariants().ok());
+}
+
+TEST(AegisSmpIdleTest, RevokingTheLastSlotReachesAParkedCpu) {
+  // X and Y are pinned to CPU 1; CPU 0 owns nothing and parks at boot.
+  // Y takes X's only slot away (min_keep 0) while X waits runnable, then
+  // computes ~1M cycles. Slot-less, X may run on any CPU, and CPU 1's
+  // scan keeps finding Y, so only the revocation's nudge gets X onto the
+  // parked CPU 0 before Y is done.
+  hw::Machine machine(hw::Machine::Config{.phys_pages = 64, .name = "revoke", .cpus = 2});
+  Aegis kernel(machine);
+  constexpr uint64_t kWork = 1'000'000;
+  const auto compute = [&] {
+    for (uint64_t done = 0; done < kWork; done += 1000) {
+      machine.Charge(1000);
+    }
+  };
+  EnvId x_id = kNoEnv;
+  uint32_t x_ran_on = ~0u;
+  EnvSpec y;
+  y.cpu_mask = 1ULL << 1;
+  y.entry = [&] {
+    ASSERT_EQ(kernel.RevokeSlices(x_id, 1, /*min_keep=*/0), 1u);
+    compute();
+  };
+  ASSERT_TRUE(kernel.CreateEnv(std::move(y)).ok());
+  EnvSpec x;
+  x.cpu_mask = 1ULL << 1;
+  x.entry = [&] {
+    x_ran_on = kernel.SysCurrentCpu();
+    compute();
+  };
+  Result<EnvGrant> grant = kernel.CreateEnv(std::move(x));
+  ASSERT_TRUE(grant.ok());
+  x_id = grant->env;
+
+  kernel.Run();
+  const uint64_t makespan =
+      std::max(machine.cpu(0).clock().now(), machine.cpu(1).clock().now());
+  EXPECT_EQ(x_ran_on, 0u);
+  EXPECT_LT(makespan, kWork * 3 / 2) << "X waited for Y while CPU 0 stayed parked";
+  EXPECT_TRUE(kernel.AuditInvariants().ok());
+}
+
+TEST(AegisSmpIdleTest, WakeFromASiblingReachesAParkedCpuWithinAnIpi) {
+  // E is pinned to CPU 0 and blocks, so CPU 0 halts. P, pinned to CPU 1,
+  // wakes E: CPU 1 cannot run E, so only the wake's IPI can restart CPU 0,
+  // and E must be back on CPU 0 within the IPI latency plus the wake,
+  // interrupt and dispatch path.
+  constexpr uint64_t kSlack = hw::Instr(100);  // Syscalls, trap, dispatch.
+  hw::Machine machine(hw::Machine::Config{.phys_pages = 64, .name = "wake", .cpus = 2});
+  Aegis kernel(machine);
+  uint64_t woke_at = 0;
+  uint32_t woke_on = ~0u;
+  EnvSpec e;
+  e.cpu_mask = 1ULL << 0;
+  e.entry = [&] {
+    kernel.SysBlock();
+    woke_at = kernel.SysGetCycles();
+    woke_on = kernel.SysCurrentCpu();
+  };
+  Result<EnvGrant> grant = kernel.CreateEnv(std::move(e));
+  ASSERT_TRUE(grant.ok());
+
+  uint64_t wake_at = 0;
+  EnvSpec p;
+  p.cpu_mask = 1ULL << 1;
+  p.entry = [&] {
+    machine.Charge(100'000);  // Long after E blocked and CPU 0 parked.
+    wake_at = machine.clock().now();
+    ASSERT_EQ(kernel.SysWake(grant->env, grant->cap), Status::kOk);
+    machine.Charge(100'000);  // CPU 1 stays busy: E is CPU 0's to run.
+  };
+  ASSERT_TRUE(kernel.CreateEnv(std::move(p)).ok());
+
+  kernel.Run();
+  EXPECT_EQ(woke_on, 0u);
+  EXPECT_GT(woke_at, wake_at);
+  EXPECT_LE(woke_at, wake_at + hw::kIpiLatency + kSlack);
+  EXPECT_TRUE(kernel.AuditInvariants().ok());
 }
 
 }  // namespace
