@@ -94,12 +94,12 @@ size_t BlockCache::PickVictim() const {
   return best;
 }
 
-Status BlockCache::Transfer(uint32_t block, size_t slot, bool write) {
+Status BlockCache::Transfer(uint32_t block, hw::PageId frame, bool write) {
   uint64_t backoff = hw::kClockHz / 10000;  // 0.1 ms before the first retry.
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
     const Status status =
-        write ? proc_.kernel().SysDiskWrite(extent_.extent, extent_.cap, block, frames_[slot])
-              : proc_.kernel().SysDiskRead(extent_.extent, extent_.cap, block, frames_[slot]);
+        write ? proc_.kernel().SysDiskWrite(extent_.extent, extent_.cap, block, frame)
+              : proc_.kernel().SysDiskRead(extent_.extent, extent_.cap, block, frame);
     if (status != Status::kErrIo) {
       return status;
     }
@@ -112,12 +112,19 @@ Status BlockCache::Transfer(uint32_t block, size_t slot, bool write) {
   return Status::kErrIo;
 }
 
+size_t BlockCache::FindFrame(hw::PageId frame) const {
+  const auto it = std::find(frames_.begin(), frames_.end(), frame);
+  return it == frames_.end() ? kGone : static_cast<size_t>(it - frames_.begin());
+}
+
 Status BlockCache::WriteBack(size_t slot) {
   if (!slots_[slot].valid || !slots_[slot].dirty) {
     return Status::kOk;
   }
-  const Status status = Transfer(slots_[slot].block, slot, /*write=*/true);
-  if (status == Status::kOk) {
+  const hw::PageId frame = frames_[slot];
+  const Status status = Transfer(slots_[slot].block, frame, /*write=*/true);
+  slot = FindFrame(frame);  // The write blocked: slots may have moved.
+  if (status == Status::kOk && slot != kGone) {
     slots_[slot].dirty = false;
   }
   return status;
@@ -137,27 +144,49 @@ Result<std::span<uint8_t>> BlockCache::GetBlock(uint32_t block, bool for_write) 
     }
   }
   ++misses_;
-  const size_t victim = PickVictim();
-  proc_.machine().Charge(Instr(20));  // Policy + bookkeeping.
-  const Status flush = WriteBack(victim);
-  if (flush != Status::kOk) {
-    return flush;
+  // The write-back and the read block on the disk, and a revoke handler
+  // may run meanwhile (ReleaseCleanFrames erases slots). So the victim is
+  // held by its frame, which that handler never releases, and re-resolved
+  // after each blocking step; if repossession repair took the frame, the
+  // miss starts over with a fresh victim.
+  for (;;) {
+    const size_t victim = PickVictim();
+    const hw::PageId frame = frames_[victim];
+    proc_.machine().Charge(Instr(20));  // Policy + bookkeeping.
+    busy_frame_ = frame;
+    Status status = WriteBack(victim);
+    if (status == Status::kOk && FindFrame(frame) != kGone) {
+      status = Transfer(block, frame, /*write=*/false);
+    }
+    busy_frame_ = kNoFrame;
+    if (status != Status::kOk) {
+      return status;
+    }
+    const size_t slot = FindFrame(frame);
+    if (slot == kGone) {
+      continue;
+    }
+    slots_[slot] = Slot{block, true, for_write, ++tick_};
+    return proc_.machine().mem().PageSpan(frame);
   }
-  const Status read = Transfer(block, victim, /*write=*/false);
-  if (read != Status::kOk) {
-    return read;
-  }
-  slots_[victim] = Slot{block, true, for_write, ++tick_};
-  return proc_.machine().mem().PageSpan(frames_[victim]);
 }
 
 Status BlockCache::Flush() {
   // Attempt every slot even after a failure: one bad block must not leave
   // the rest of the dirty set stranded in volatile memory. The first error
   // is reported; dirty_remaining() tells the caller what is still at risk.
+  // Slots may be released while a write-back blocks, so walk a snapshot of
+  // the frames and pin each one for its write.
   Status first_error = Status::kOk;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    const Status status = WriteBack(i);
+  const std::vector<hw::PageId> frames = frames_;
+  for (hw::PageId frame : frames) {
+    const size_t slot = FindFrame(frame);
+    if (slot == kGone) {
+      continue;
+    }
+    busy_frame_ = frame;
+    const Status status = WriteBack(slot);
+    busy_frame_ = kNoFrame;
     if (status != Status::kOk && first_error == Status::kOk) {
       first_error = status;
     }
@@ -179,12 +208,13 @@ uint32_t BlockCache::ReleaseCleanFrames(uint32_t n) {
   uint32_t released = 0;
   // Walk backwards so erasing does not shift unvisited slots. Only invalid
   // or clean slots go — a dirty frame holds the sole copy of its block, and
-  // this path must not block on a write-back.
+  // this path must not block on a write-back — and never the frame of a
+  // transfer in flight.
   for (size_t i = slots_.size(); i-- > 0 && released < n;) {
     if (slots_.size() <= 1) {
       break;
     }
-    if (slots_[i].valid && slots_[i].dirty) {
+    if ((slots_[i].valid && slots_[i].dirty) || frames_[i] == busy_frame_) {
       continue;
     }
     (void)proc_.kernel().SysDeallocPage(frames_[i], frame_caps_[i]);

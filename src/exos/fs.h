@@ -117,17 +117,27 @@ class BlockCache {
   BlockCache(Process& proc, const aegis::Aegis::DiskExtentGrant& extent)
       : proc_(proc), extent_(extent) {}
 
+  static constexpr size_t kGone = ~size_t{0};
+  static constexpr hw::PageId kNoFrame = ~hw::PageId{0};
+
   size_t PickVictim() const;
+  // The slot holding `frame`, or kGone. Slot indices do not survive a
+  // blocking call (a revoke handler may release slots meanwhile); frames do.
+  size_t FindFrame(hw::PageId frame) const;
+  // Writes the slot's block back if it is valid and dirty.
   Status WriteBack(size_t slot);
   // One block transfer, retried with exponential backoff on transient
   // media errors (kErrIo); any other failure is immediately fatal.
-  Status Transfer(uint32_t block, size_t slot, bool write);
+  Status Transfer(uint32_t block, hw::PageId frame, bool write);
 
   Process& proc_;
   aegis::Aegis::DiskExtentGrant extent_;
   std::vector<Slot> slots_;
   std::vector<hw::PageId> frames_;
   std::vector<cap::Capability> frame_caps_;
+  // The frame a write-back or read is using while it blocks; the revoke
+  // handler's ReleaseCleanFrames leaves it alone.
+  hw::PageId busy_frame_ = kNoFrame;
   Policy policy_ = Policy::kLru;
   VictimPicker picker_;
   uint64_t tick_ = 0;

@@ -1,18 +1,20 @@
-// Cooperative execution contexts ("fibers") built on ucontext. Each
-// simulated processor environment, each Ultrix process, and each machine in
-// a multi-machine world runs on its own fiber; kernels switch between them
-// deterministically. This stands in for real hardware context switching —
-// the *cost* of a switch is charged separately by the kernels, per register
-// actually saved/restored in their model.
+// Cooperative execution contexts ("fibers"). Each simulated processor
+// environment, each Ultrix process, and each machine in a multi-machine
+// world runs on its own fiber; kernels switch between them deterministically.
+// This stands in for real hardware context switching — the *cost* of a
+// switch is charged separately by the kernels, per register actually
+// saved/restored in their model.
+//
+// A host switch saves only what the x86-64 System V ABI says a call
+// preserves: rbx, rbp, r12-r15, rsp, MXCSR and the x87 control word. There
+// is no signal mask and no system call. Stacks are mmap'd with a PROT_NONE
+// guard page below them, so untouched pages are never faulted in and an
+// overflow faults instead of corrupting the heap.
 #ifndef XOK_SRC_HW_FIBER_H_
 #define XOK_SRC_HW_FIBER_H_
 
-#include <ucontext.h>
-
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <memory>
-#include <vector>
 
 namespace xok::hw {
 
@@ -30,6 +32,9 @@ class Fiber {
   // entry aborts the process, because there is nowhere to go.
   explicit Fiber(Entry entry, size_t stack_bytes = kDefaultStackBytes);
 
+  // Unmaps the stack. The fiber must not be running.
+  ~Fiber();
+
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
@@ -39,10 +44,15 @@ class Fiber {
   static constexpr size_t kDefaultStackBytes = 256 * 1024;
 
  private:
-  static void Trampoline(unsigned hi, unsigned lo);
+  [[noreturn]] static void Trampoline(Fiber* self);
 
-  ucontext_t context_{};
-  std::vector<uint8_t> stack_;  // Empty for the wrapping constructor.
+  void* sp_ = nullptr;        // Saved stack pointer while switched out.
+  void* mapping_ = nullptr;   // Guard page + stack; null when wrapping.
+  size_t mapping_bytes_ = 0;
+  // Usable stack bounds, for AddressSanitizer's fiber annotations. A
+  // wrapping fiber learns them each time it is switched away from.
+  const void* stack_lo_ = nullptr;
+  size_t stack_bytes_ = 0;
   Entry entry_;
 };
 

@@ -202,7 +202,7 @@ void Cpu::WaitForInterrupt() {
 void Cpu::PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload) {
   events_.push(PendingEvent{due_cycle, source, payload, event_seq_++});
   if (machine_.world_ != nullptr) {
-    machine_.world_->NoteEventPosted();
+    machine_.world_->NoteEventPosted(this, due_cycle);
   }
 }
 

@@ -315,11 +315,8 @@ class Machine {
   // a ready sibling whose local clock is behind, or a parked sibling whose
   // next event is already due by `cpu`'s local time.
   bool SiblingBehind(const Cpu& cpu) const;
-  // World-side accessors for CPU fibers and interleaver state.
+  // World-side accessor for CPU fibers.
   Fiber* CpuFiber(uint32_t index) { return cpus_[index]->fiber_.get(); }
-  void SetCpuRunState(uint32_t index, Cpu::RunState state) {
-    cpus_[index]->run_state_ = state;
-  }
   // Saves the executing CPU's continuation and re-enters the scheduler.
   void YieldCpu(Cpu& cpu);    // Stays ready: resumed by clock order.
   void ParkCpu(Cpu& cpu);     // Sleeps: resumed by a due event (or spuriously).

@@ -16,14 +16,6 @@ void World::Attach(Machine* machine) {
   machines_.push_back(machine);
 }
 
-uint64_t World::CtxClockNow(const Ctx& ctx) const {
-  return ctx.machine->cpu(ctx.cpu).clock().now();
-}
-
-uint64_t World::CtxNextDue(const Ctx& ctx) const {
-  return ctx.machine->cpu(ctx.cpu).NextDueCycle();
-}
-
 void World::Run(std::vector<std::function<void()>> bodies) {
   if (bodies.size() != machines_.size()) {
     std::fprintf(stderr, "xok: World::Run needs one body per attached machine\n");
@@ -33,8 +25,7 @@ void World::Run(std::vector<std::function<void()>> bodies) {
   for (size_t i = 0; i < machines_.size(); ++i) {
     auto ctx = std::make_unique<Ctx>();
     ctx->machine = machines_[i];
-    ctx->machine_index = static_cast<uint32_t>(i);
-    ctx->cpu = 0;
+    ctx->cpu = &machines_[i]->cpu(0);
     ctx->body = true;
     ctx->state = CtxState::kReady;
     Ctx* raw = ctx.get();
@@ -68,34 +59,54 @@ void World::Schedule() {
   // longstanding single-CPU world contract).
   bool swept = false;
   for (;;) {
-    RetireFinishedGroups();
+    if (group_finished_) {
+      group_finished_ = false;
+      RetireFinishedGroups();
+    }
+    // One pass picks the next context and, by keeping the two smallest
+    // ready clocks and the two earliest parked dues, the ShouldYield
+    // thresholds over every context but the one picked.
     Ctx* best_ready = nullptr;
+    uint64_t ready_min = kNever;
+    uint64_t ready_next = kNever;
     Ctx* best_parked = nullptr;
-    uint64_t parked_due = kNever;
+    uint64_t parked_min = kNever;
+    uint64_t parked_next = kNever;
     bool any_parked = false;
     for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
       if (ctx->state == CtxState::kReady) {
-        if (best_ready == nullptr || CtxClockNow(*ctx) < CtxClockNow(*best_ready)) {
+        const uint64_t now = ctx->cpu->clock().now();
+        if (best_ready == nullptr || now < ready_min) {
+          ready_next = ready_min;
+          ready_min = now;
           best_ready = ctx.get();  // Scan order is the (machine, cpu) tie-break.
+        } else if (now < ready_next) {
+          ready_next = now;
         }
       } else if (ctx->state == CtxState::kParked) {
         any_parked = true;
-        const uint64_t due = CtxNextDue(*ctx);
-        if (due < parked_due) {
-          parked_due = due;
+        const uint64_t due = ctx->cpu->NextDueCycle();
+        if (due < parked_min) {
+          parked_next = parked_min;
+          parked_min = due;
           best_parked = ctx.get();
+        } else if (due < parked_next) {
+          parked_next = due;
         }
       }
     }
-    if (best_parked != nullptr && parked_due != kNever &&
-        (best_ready == nullptr || parked_due <= CtxClockNow(*best_ready))) {
-      best_parked->machine->cpu(best_parked->cpu).clock().AdvanceTo(parked_due);
+    if (best_parked != nullptr && parked_min <= ready_min) {
+      best_parked->cpu->clock().AdvanceTo(parked_min);
       swept = false;
+      parked_min_due_ = parked_next;
+      ready_min_clock_ = ready_min;
       ResumeCtx(best_parked);
       continue;
     }
     if (best_ready != nullptr) {
       swept = false;
+      parked_min_due_ = parked_min;
+      ready_min_clock_ = ready_next;
       ResumeCtx(best_ready);
       continue;
     }
@@ -112,6 +123,8 @@ void World::Schedule() {
       // spurious wakes. Plain bodies inside WaitForInterrupt would just
       // re-park without being able to make progress.
       if (ctx->state == CtxState::kParked && !ctx->body) {
+        ctx->state = CtxState::kRunning;  // Not a threshold for itself.
+        RecomputeCaches();
         ResumeCtx(ctx.get());
       }
     }
@@ -123,13 +136,11 @@ void World::Schedule() {
 
 void World::ResumeCtx(Ctx* ctx) {
   ctx->state = CtxState::kRunning;
-  Cpu& cpu = ctx->machine->cpu(ctx->cpu);
   if (!ctx->body) {
-    ctx->machine->SetCpuRunState(ctx->cpu, Cpu::RunState::kRunning);
+    ctx->cpu->run_state_ = Cpu::RunState::kRunning;
   }
-  ctx->machine->active_ = &cpu;
+  ctx->machine->active_ = ctx->cpu;
   running_ = ctx;
-  RecomputeCaches();
   Fiber::Switch(world_fiber_, *ctx->fiber);
   running_ = nullptr;
 }
@@ -138,9 +149,8 @@ void World::YieldCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kReady;
   if (!ctx->body) {
-    ctx->machine->SetCpuRunState(ctx->cpu, Cpu::RunState::kReady);
+    ctx->cpu->run_state_ = Cpu::RunState::kReady;
   }
-  RecomputeCaches();
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 
@@ -152,9 +162,8 @@ void World::ParkCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kParked;
   if (!ctx->body) {
-    ctx->machine->SetCpuRunState(ctx->cpu, Cpu::RunState::kParked);
+    ctx->cpu->run_state_ = Cpu::RunState::kParked;
   }
-  RecomputeCaches();
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 
@@ -162,6 +171,7 @@ void World::FinishCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kDone;
   ++progress_epoch_;
+  group_finished_ = true;
   for (;;) {
     Fiber::Switch(*ctx->fiber, world_fiber_);
   }
@@ -178,8 +188,7 @@ void World::RunCpusBlock(Machine* machine) {
   for (uint32_t i = 0; i < machine->cpu_count(); ++i) {
     auto ctx = std::make_unique<Ctx>();
     ctx->machine = machine;
-    ctx->machine_index = body->machine_index;
-    ctx->cpu = i;
+    ctx->cpu = &machine->cpu(i);
     ctx->body = false;
     ctx->fiber = machine->CpuFiber(i);
     ctx->state = CtxState::kReady;
@@ -187,7 +196,6 @@ void World::RunCpusBlock(Machine* machine) {
   }
   ++progress_epoch_;
   body->state = CtxState::kBlocked;
-  RecomputeCaches();
   Fiber::Switch(*body->fiber, world_fiber_);
   // Resumed: every CPU body has returned and the contexts are retired.
 }
@@ -220,9 +228,17 @@ void World::RetireFinishedGroups() {
   }
 }
 
-void World::NoteEventPosted() {
+void World::NoteEventPosted(const Cpu* cpu, uint64_t due) {
   ++progress_epoch_;
-  RecomputeCaches();
+  if (due >= parked_min_due_) {
+    return;  // Cannot lower the cache.
+  }
+  for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
+    if (ctx->cpu == cpu && ctx->state == CtxState::kParked) {
+      parked_min_due_ = due;
+      return;
+    }
+  }
 }
 
 void World::RecomputeCaches() {
@@ -230,12 +246,12 @@ void World::RecomputeCaches() {
   ready_min_clock_ = kNever;
   for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
     if (ctx->state == CtxState::kParked) {
-      const uint64_t due = CtxNextDue(*ctx);
+      const uint64_t due = ctx->cpu->NextDueCycle();
       if (due < parked_min_due_) {
         parked_min_due_ = due;
       }
     } else if (ctx->state == CtxState::kReady) {
-      const uint64_t now = CtxClockNow(*ctx);
+      const uint64_t now = ctx->cpu->clock().now();
       if (now < ready_min_clock_) {
         ready_min_clock_ = now;
       }

@@ -25,6 +25,7 @@
 
 namespace xok::hw {
 
+class Cpu;
 class Machine;
 
 class World {
@@ -63,9 +64,10 @@ class World {
   void ParkCurrent();   // Sleeps: resumed by a due event (or spuriously —
                         //   only RunCpus contexts tolerate spurious wakes).
 
-  // An event was queued on some CPU: refresh the due-event cache so a
-  // running context's next charge can notice it.
-  void NoteEventPosted();
+  // An event due at `due` was queued on `cpu`: lower the due-event cache if
+  // that CPU's context is parked, so a running context's next charge can
+  // notice it.
+  void NoteEventPosted(const Cpu* cpu, uint64_t due);
 
   // Called from a finished RunCpus CPU fiber: marks the running context
   // done and parks its fiber forever.
@@ -78,8 +80,7 @@ class World {
   // its machine outside RunCpus) or one CPU of a machine inside RunCpus.
   struct Ctx {
     Machine* machine = nullptr;
-    uint32_t machine_index = 0;
-    uint32_t cpu = 0;      // The CPU whose clock and events this context runs on.
+    Cpu* cpu = nullptr;    // The CPU whose clock and events this context runs on.
     bool body = false;     // Machine body (owns its fiber) vs RunCpus CPU.
     Fiber* fiber = nullptr;
     std::unique_ptr<Fiber> owned;
@@ -88,13 +89,13 @@ class World {
 
   // Core scheduler loop; runs on the world fiber.
   void Schedule();
+  // Runs `ctx` until it switches back; the caller has already set the
+  // ShouldYield caches over every other context.
   void ResumeCtx(Ctx* ctx);
   // Unblocks machine bodies whose RunCpus contexts have all finished.
   void RetireFinishedGroups();
+  // Sets the caches by a full scan of the contexts not running.
   void RecomputeCaches();
-
-  uint64_t CtxClockNow(const Ctx& ctx) const;
-  uint64_t CtxNextDue(const Ctx& ctx) const;
 
   static constexpr uint64_t kNever = ~0ULL;
 
@@ -103,10 +104,16 @@ class World {
   Fiber world_fiber_;
   Ctx* running_ = nullptr;
   bool scheduling_ = false;
-  // Caches consulted by ShouldYield on every charge. Valid between
-  // scheduler dispatches: all non-running clocks are frozen.
+  // Caches consulted by ShouldYield on every charge: the earliest due event
+  // of any parked context and the lowest clock of any ready one, the running
+  // context excluded. Set at each dispatch and kept exact while a context
+  // runs: other contexts' clocks are frozen, and only NoteEventPosted can
+  // move another context's next due cycle (and only earlier).
   uint64_t parked_min_due_ = kNever;
   uint64_t ready_min_clock_ = kNever;
+  // Set when a RunCpus context finishes, so the scheduler looks for a
+  // machine body to unblock only then.
+  bool group_finished_ = false;
   // Bumped on anything that could let a quiescence sweep make progress
   // (events posted, contexts finishing, RunCpus groups starting/retiring).
   uint64_t progress_epoch_ = 0;

@@ -1,7 +1,12 @@
 #include "src/hw/fiber.h"
 
 #include <gtest/gtest.h>
+#include <xmmintrin.h>
 
+#include <cfenv>
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -82,6 +87,87 @@ TEST(Fiber, DeepStackUsageSurvivesSwitch) {
   child_ptr = &child;
   Fiber::Switch(main_fiber, child);
   EXPECT_EQ(result, 64u * 1024u / 256u * (255u * 256u / 2u));
+}
+
+TEST(Fiber, FloatingPointControlStateIsPerFiber) {
+  constexpr uint32_t kMxcsrRounding = 0x6000;  // MXCSR.RC
+  constexpr uint32_t kMxcsrRoundUp = 0x4000;
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Fiber main_fiber;
+  Fiber* child_ptr = nullptr;
+  int child_rounding = -1;
+  uint32_t child_mxcsr_rounding = 0;
+  Fiber child([&] {
+    std::fesetround(FE_UPWARD);  // Sets both the x87 and the SSE mode.
+    Fiber::Switch(*child_ptr, main_fiber);
+    child_rounding = std::fegetround();  // Reads the x87 control word.
+    child_mxcsr_rounding = _mm_getcsr() & kMxcsrRounding;
+    for (;;) {
+      Fiber::Switch(*child_ptr, main_fiber);
+    }
+  });
+  child_ptr = &child;
+
+  Fiber::Switch(main_fiber, child);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(_mm_getcsr() & kMxcsrRounding, 0u);
+  Fiber::Switch(main_fiber, child);
+  EXPECT_EQ(child_rounding, FE_UPWARD);
+  EXPECT_EQ(child_mxcsr_rounding, kMxcsrRoundUp);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(_mm_getcsr() & kMxcsrRounding, 0u);
+}
+
+TEST(Fiber, NewFiberStartsOnA16ByteAlignedFrame) {
+  Fiber main_fiber;
+  Fiber* child_ptr = nullptr;
+  uintptr_t address = 1;
+  Fiber child([&] {
+    alignas(16) volatile uint8_t local[16] = {};
+    address = reinterpret_cast<uintptr_t>(&local[0]);
+    for (;;) {
+      Fiber::Switch(*child_ptr, main_fiber);
+    }
+  });
+  child_ptr = &child;
+  Fiber::Switch(main_fiber, child);
+  EXPECT_EQ(address % 16, 0u);
+}
+
+// Recurses with a live buffer in every frame until the stack runs out; the
+// buffer's address escapes, so the recursion cannot become a loop.
+[[gnu::noinline]] uint8_t Recurse(volatile uint8_t* caller, uint64_t depth) {
+  volatile uint8_t frame[512];
+  frame[0] = static_cast<uint8_t>(caller[0] + 1);
+  if (depth == ~uint64_t{0}) {
+    return frame[0];
+  }
+  return static_cast<uint8_t>(Recurse(frame, depth + 1) + 1);
+}
+
+void OverflowAFiberStack() {
+  Fiber main_fiber;
+  Fiber* child_ptr = nullptr;
+  Fiber child(
+      [&] {
+        volatile uint8_t seed[1] = {0};
+        Recurse(seed, 0);
+        for (;;) {
+          Fiber::Switch(*child_ptr, main_fiber);
+        }
+      },
+      64 * 1024);
+  child_ptr = &child;
+  Fiber::Switch(main_fiber, child);
+  std::fprintf(stderr, "overflowed fiber returned\n");
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage) {
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(OverflowAFiberStack(), "stack-overflow");
+#else
+  EXPECT_EXIT(OverflowAFiberStack(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/aegis.h"
@@ -424,6 +426,88 @@ TEST_F(PressureTest, RevocationClientFlushesDirtyBlocksThenRepairsRepossession) 
   ASSERT_TRUE(worker.ok());
   kernel_.Run();
   EXPECT_TRUE(done);
+  EXPECT_EQ(kernel_.audit_failures(), 0u) << kernel_.first_audit_failure();
+}
+
+// --- A revoke that lands while a block-cache miss waits on the disk ---
+
+// GetBlock's write-back and read both block. A revoke handler that runs
+// meanwhile releases clean frames, erasing slots; the miss must neither
+// lose track of its victim nor have the victim's frame released under the
+// transfer.
+TEST_F(PressureTest, RevokeDuringABlockCacheMissKeepsTheVictimFrame) {
+  std::unique_ptr<exos::BlockCache> cache;
+  bool in_miss = false;
+  bool done = false;
+  exos::Process worker(kernel_, [&](exos::Process& p) {
+    Result<Aegis::DiskExtentGrant> extent = p.kernel().SysAllocDiskExtent(8);
+    ASSERT_TRUE(extent.ok());
+    {
+      // Block 4 holds a known pattern on disk.
+      Result<std::unique_ptr<exos::BlockCache>> setup = exos::BlockCache::Create(p, *extent, 1);
+      ASSERT_TRUE(setup.ok());
+      Result<std::span<uint8_t>> block = (*setup)->GetBlock(4, /*for_write=*/true);
+      ASSERT_TRUE(block.ok());
+      std::fill(block->begin(), block->end(), uint8_t{0x44});
+      ASSERT_EQ((*setup)->Flush(), Status::kOk);
+    }
+    Result<std::unique_ptr<exos::BlockCache>> created = exos::BlockCache::Create(p, *extent, 4);
+    ASSERT_TRUE(created.ok());
+    cache = std::move(*created);
+    p.set_revoke_handler([&](uint32_t pages) { cache->ReleaseCleanFrames(pages); });
+    for (uint32_t b = 0; b < 4; ++b) {
+      ASSERT_TRUE(cache->GetBlock(b, /*for_write=*/false).ok());
+    }
+    // Block 3 sits in the last slot, dirty and most recently used: under
+    // MRU it is the next miss's victim, written back before the read.
+    Result<std::span<uint8_t>> victim = cache->GetBlock(3, /*for_write=*/true);
+    ASSERT_TRUE(victim.ok());
+    std::fill(victim->begin(), victim->end(), uint8_t{0x33});
+    cache->set_policy(exos::BlockCache::Policy::kMru);
+
+    in_miss = true;
+    Result<std::span<uint8_t>> block = cache->GetBlock(4, /*for_write=*/false);
+    in_miss = false;
+    ASSERT_TRUE(block.ok());
+    // Block 4 was read into the victim's frame, the only one left.
+    EXPECT_EQ(block->data(), victim->data());
+    EXPECT_EQ((*block)[0], 0x44);
+    EXPECT_EQ((*block)[hw::kPageBytes - 1], 0x44);
+    EXPECT_EQ(cache->slot_count(), 1u);
+    EXPECT_EQ(cache->dirty_remaining(), 0u);
+    const uint64_t hits = cache->hits();
+    ASSERT_TRUE(cache->GetBlock(4, /*for_write=*/false).ok());
+    EXPECT_EQ(cache->hits(), hits + 1);
+    // Block 3's write-back reached the disk.
+    Result<std::span<uint8_t>> again = cache->GetBlock(3, /*for_write=*/false);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ((*again)[0], 0x33);
+    EXPECT_TRUE(p.kernel().SysReadRepossessed().empty());  // Every revoke complied.
+    done = true;
+  });
+  ASSERT_TRUE(worker.ok());
+  const EnvId worker_id = worker.id();
+
+  // Two one-page revocations while block 3 is written back, one more while
+  // block 4 is read in.
+  uint32_t revokes = 0;
+  EnvSpec revoker;
+  revoker.entry = [&] {
+    while (kernel_.SysEnvAlive(worker_id)) {
+      if (in_miss) {
+        const bool writing_back = cache->dirty_remaining() > 0;
+        if (writing_back ? revokes < 2 : revokes == 2) {
+          ASSERT_EQ(kernel_.RevokePages(worker_id, 1), Status::kOk);
+          ++revokes;
+        }
+      }
+      kernel_.SysYield();
+    }
+  };
+  ASSERT_TRUE(kernel_.CreateEnv(std::move(revoker)).ok());
+  kernel_.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(revokes, 3u);
   EXPECT_EQ(kernel_.audit_failures(), 0u) << kernel_.first_audit_failure();
 }
 
