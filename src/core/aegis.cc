@@ -541,15 +541,11 @@ Status Aegis::GrantSlice(Env& env, uint32_t cpu_index) {
 
 void Aegis::Run() {
   running_ = true;
-  if (machine_.cpu_count() == 1) {
-    RunCpu(0);  // On the calling fiber, exactly as the uniprocessor did.
-  } else {
-    std::vector<std::function<void()>> bodies;
-    for (uint32_t k = 0; k < machine_.cpu_count(); ++k) {
-      bodies.push_back([this, k]() { RunCpu(k); });
-    }
-    machine_.RunCpus(std::move(bodies));
+  std::vector<std::function<void()>> bodies;
+  for (uint32_t k = 0; k < machine_.cpu_count(); ++k) {
+    bodies.push_back([this, k]() { RunCpu(k); });
   }
+  machine_.RunCpus(std::move(bodies));
   running_ = false;
 }
 

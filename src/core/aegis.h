@@ -16,13 +16,12 @@
 //     breaks the bindings by force and records them in the environment's
 //     repossession vector.
 //
-// Threading model: Aegis::Run() executes the scheduler loop on the calling
-// fiber ("kernel fiber"); each environment runs on its own fiber. All
-// syscalls are methods called from environment fibers; they charge their
-// documented path lengths to the simulated clock. On a multi-CPU machine
-// (hw::Machine::Config::cpus > 1) Run() instead drives one scheduler loop
-// per CPU through the machine's SMP interleaver; each CPU owns a slice
-// vector and revocation paths shoot down remote TLBs over IPIs.
+// Threading model: Aegis::Run() drives one scheduler loop per CPU through
+// hw::Machine::RunCpus, each on its own fiber ("kernel fiber"); each
+// environment runs on its own fiber. All syscalls are methods called from
+// environment fibers; they charge their documented path lengths to the
+// simulated clock. Each CPU owns a slice vector, and on a multi-CPU
+// machine revocation paths shoot down remote TLBs over IPIs.
 #ifndef XOK_SRC_CORE_AEGIS_H_
 #define XOK_SRC_CORE_AEGIS_H_
 

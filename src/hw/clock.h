@@ -1,6 +1,5 @@
-// The simulated cycle clock. All simulated time flows through one of these;
-// machines attached to the same hw::World share a single clock so that
-// cross-machine packet timing is well defined.
+// The simulated cycle clock. Every CPU owns one; all simulated time flows
+// through them, and hw::World orders execution by these local clocks.
 #ifndef XOK_SRC_HW_CLOCK_H_
 #define XOK_SRC_HW_CLOCK_H_
 
@@ -22,9 +21,9 @@ class CycleClock {
   // Advances time by `cycles`. This is the only way time moves forward.
   void Advance(uint64_t cycles) { now_ += cycles; }
 
-  // Moves time forward to `cycle` (used when a machine idles until the next
-  // scheduled event). No-op if `cycle` is in the past: two machines sharing
-  // a clock may both be past an event's nominal timestamp.
+  // Moves time forward to `cycle` (used when a CPU idles until its next
+  // scheduled event). No-op if `cycle` is in the past: an event posted by a
+  // CPU whose clock is behind may already be due on this one.
   void AdvanceTo(uint64_t cycle) {
     if (cycle > now_) {
       now_ = cycle;

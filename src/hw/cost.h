@@ -49,9 +49,6 @@ inline constexpr uint64_t kExceptionReturn = Instr(2);
 // Writing one TLB entry (privileged tlbwr/tlbwi sequence).
 inline constexpr uint64_t kTlbWrite = Instr(3);
 
-// Probing the TLB explicitly (tlbp + read).
-inline constexpr uint64_t kTlbProbe = Instr(2);
-
 // Saving or restoring one general-purpose register to/from memory.
 inline constexpr uint64_t kSaveRegister = Instr(1);
 

@@ -24,16 +24,6 @@ void PrivPort::TlbFlushAsid(Asid asid) {
   machine_.active_->tlb_.FlushAsid(asid);
 }
 
-void PrivPort::TlbFlushAll() {
-  machine_.Charge(kTlbWrite * 4);
-  machine_.active_->tlb_.FlushAll();
-}
-
-const TlbEntry* PrivPort::TlbProbe(Vpn vpn, Asid asid) {
-  machine_.Charge(kTlbProbe);
-  return machine_.active_->tlb_.Lookup(vpn, asid);
-}
-
 uint32_t PrivPort::TlbRemoteFlushPfn(uint32_t cpu, PageId pfn) {
   return machine_.cpus_[cpu]->tlb_.FlushPfn(pfn);
 }
@@ -85,26 +75,9 @@ bool PrivPort::interrupts_enabled() const {
   return machine_.active_->interrupts_enabled_;
 }
 
-uint32_t PrivPort::PhysReadWord(Paddr pa) {
-  machine_.Charge(kMemWordAccess);
-  return machine_.mem_.ReadWord(pa);
-}
-
-void PrivPort::PhysWriteWord(Paddr pa, uint32_t value) {
-  machine_.Charge(kMemWordAccess);
-  machine_.mem_.WriteWord(pa, value);
-}
-
-void PrivPort::PhysCopy(Paddr dst, Paddr src, uint32_t bytes) {
-  machine_.Charge(kMemWordCopy * ((bytes + 3) / 4));
-  for (uint32_t i = 0; i < bytes; ++i) {
-    machine_.mem_.WriteByte(dst + i, machine_.mem_.ReadByte(src + i));
-  }
-}
-
 void PrivPort::ScheduleEvent(uint64_t delay, InterruptSource source, uint64_t payload) {
   Cpu& cpu = *machine_.active_;
-  cpu.PushEvent(cpu.clock_->now() + delay, source, payload);
+  cpu.PushEvent(cpu.clock_.now() + delay, source, payload);
 }
 
 void PrivPort::ScheduleEventOnCpu(uint32_t cpu, uint64_t delay, InterruptSource source,
@@ -114,7 +87,7 @@ void PrivPort::ScheduleEventOnCpu(uint32_t cpu, uint64_t delay, InterruptSource 
                  machine_.config_.name, cpu);
     std::abort();
   }
-  const uint64_t due = machine_.active_->clock_->now() + delay;
+  const uint64_t due = machine_.active_->clock_.now() + delay;
   machine_.cpus_[cpu]->PushEvent(due, source, payload);
 }
 
@@ -125,7 +98,7 @@ void PrivPort::SendIpi(uint32_t cpu, uint64_t payload) {
     std::abort();
   }
   machine_.Charge(kIpiSend);
-  const uint64_t due = machine_.active_->clock_->now() + kIpiLatency;
+  const uint64_t due = machine_.active_->clock_.now() + kIpiLatency;
   machine_.cpus_[cpu]->PushEvent(due, InterruptSource::kIpi, payload);
 }
 
@@ -141,20 +114,15 @@ int PrivPort::SwapTrapDepth(int depth) {
 
 // --- Cpu ---
 
-Cpu::Cpu(Machine& machine, uint32_t index, std::shared_ptr<CycleClock> clock)
-    : machine_(machine), index_(index), clock_(std::move(clock)) {}
+Cpu::Cpu(Machine& machine, uint32_t index) : machine_(machine), index_(index) {}
 
 void Cpu::Charge(uint64_t cycles) {
-  clock_->Advance(cycles);
+  clock_.Advance(cycles);
   if (trap_depth_ > 0) {
     return;  // Interrupts implicitly masked while handling a trap.
   }
-  if (machine_.world_ != nullptr) {
-    if (machine_.world_->ShouldYield(clock_->now())) {
-      machine_.world_->YieldCurrent();
-    }
-  } else if (machine_.smp_running_ && machine_.SiblingBehind(*this)) {
-    machine_.YieldCpu(*this);
+  if (machine_.world_ != nullptr && machine_.world_->ShouldYield(clock_.now())) {
+    machine_.world_->YieldCurrent();
   }
   if (interrupts_enabled_) {
     DeliverDue();
@@ -166,36 +134,28 @@ void Cpu::WaitForInterrupt() {
     if (interrupts_enabled_ && DeliverDue()) {
       return;
     }
-    if (machine_.world_ != nullptr) {
-      machine_.world_->ParkCurrent();
-      if (machine_.smp_running_) {
-        // Resumed: either the world advanced our clock to a due event, or
-        // this is a spurious wake so the kernel loop can re-check whether
-        // it still has anything to run.
-        if (interrupts_enabled_) {
-          DeliverDue();
-        }
-        return;
+    if (machine_.world_ == nullptr) {
+      // Outside any World: nothing else can run, so jump to the next event.
+      const uint64_t next = NextDueCycle();
+      if (next == ~0ULL) {
+        std::fprintf(stderr, "xok: machine %s idle with no pending events (hang)\n",
+                     machine_.config_.name);
+        std::abort();
       }
-      continue;  // Plain machine body: re-check for due events.
+      clock_.AdvanceTo(next);
+      continue;
     }
+    machine_.world_->ParkCurrent();
     if (machine_.smp_running_) {
-      machine_.ParkCpu(*this);
-      // Resumed: either the scheduler advanced our clock to a due event, or
-      // this is a spurious wake so the kernel loop can re-check whether it
-      // still has anything to run.
-      if (interrupts_enabled_ && DeliverDue()) {
-        return;
+      // Resumed: either the world advanced our clock to a due event, or
+      // this is a spurious wake so the kernel loop can re-check whether
+      // it still has anything to run.
+      if (interrupts_enabled_) {
+        DeliverDue();
       }
       return;
     }
-    const uint64_t next = NextDueCycle();
-    if (next == ~0ULL) {
-      std::fprintf(stderr, "xok: machine %s idle with no pending events (hang)\n",
-                   machine_.config_.name);
-      std::abort();
-    }
-    clock_->AdvanceTo(next);
+    // Plain machine body: re-check for due events.
   }
 }
 
@@ -208,14 +168,14 @@ void Cpu::PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload
 
 bool Cpu::DeliverDue() {
   bool delivered = false;
-  const uint64_t now = clock_->now();
+  const uint64_t now = clock_.now();
   if (slice_armed_ && now >= slice_deadline_) {
     slice_armed_ = false;
     slice_deadline_ = 0;
     DeliverOne(PendingEvent{now, InterruptSource::kTimer, 0, 0});
     delivered = true;
   }
-  while (!events_.empty() && events_.top().due_cycle <= clock_->now()) {
+  while (!events_.empty() && events_.top().due_cycle <= clock_.now()) {
     const PendingEvent event = events_.top();
     events_.pop();
     DeliverOne(event);
@@ -255,12 +215,12 @@ Machine::Machine(const Config& config, World* world)
                  cpus);
     std::abort();
   }
-  // Every CPU owns a local clock; the world (or the machine's own SMP
-  // interleaver) orders execution by these, so cycles burned on different
-  // CPUs — and different machines — overlap in simulated time.
+  // Every CPU owns a local clock; the world orders execution by these, so
+  // cycles burned on different CPUs — and different machines — overlap in
+  // simulated time.
   cpus_.reserve(cpus);
   for (uint32_t i = 0; i < cpus; ++i) {
-    cpus_.push_back(std::make_unique<Cpu>(*this, i, std::make_shared<CycleClock>()));
+    cpus_.push_back(std::make_unique<Cpu>(*this, i));
   }
   active_ = cpus_[0].get();
   if (world_ != nullptr) {
@@ -288,7 +248,7 @@ uint64_t Machine::MaxCpuCycle() const {
 }
 
 bool Machine::CpuParked(uint32_t index) const {
-  return cpus_[index]->run_state_ == Cpu::RunState::kParked;
+  return cpus_[index]->parked_;
 }
 
 void Machine::Charge(uint64_t cycles) { active_->Charge(cycles); }
@@ -369,25 +329,6 @@ Status Machine::StoreWord(Vaddr va, uint32_t value) {
   return Status::kOk;
 }
 
-Result<uint8_t> Machine::LoadByte(Vaddr va) {
-  Result<Paddr> pa = Translate(va, /*store=*/false);
-  if (!pa.ok()) {
-    return pa.status();
-  }
-  Charge(kMemWordAccess);
-  return mem_.ReadByte(*pa);
-}
-
-Status Machine::StoreByte(Vaddr va, uint8_t value) {
-  Result<Paddr> pa = Translate(va, /*store=*/true);
-  if (!pa.ok()) {
-    return pa.status();
-  }
-  Charge(kMemWordAccess);
-  mem_.WriteByte(*pa, value);
-  return Status::kOk;
-}
-
 Status Machine::CopyIn(std::span<uint8_t> dst, Vaddr src) {
   size_t done = 0;
   while (done < dst.size()) {
@@ -453,41 +394,28 @@ void Machine::PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t pay
   cpus_[0]->PushEvent(due_cycle, source, payload);
 }
 
-// --- SMP interleaver ---
-
-bool Machine::SiblingBehind(const Cpu& cpu) const {
-  const uint64_t now = cpu.clock().now();
-  for (const std::unique_ptr<Cpu>& other : cpus_) {
-    if (other.get() == &cpu) {
-      continue;
-    }
-    if (other->run_state_ == Cpu::RunState::kReady && other->clock().now() < now) {
-      return true;
-    }
-    if (other->run_state_ == Cpu::RunState::kParked && other->NextDueCycle() < now) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Machine::YieldCpu(Cpu& cpu) {
-  cpu.run_state_ = Cpu::RunState::kReady;
-  Fiber::Switch(*cpu.fiber_, scheduler_fiber_);
-}
-
-void Machine::ParkCpu(Cpu& cpu) {
-  cpu.run_state_ = Cpu::RunState::kParked;
-  Fiber::Switch(*cpu.fiber_, scheduler_fiber_);
-}
-
-void Machine::ResumeCpu(Cpu& cpu) {
-  cpu.run_state_ = Cpu::RunState::kRunning;
-  active_ = &cpu;
-  Fiber::Switch(scheduler_fiber_, *cpu.fiber_);
-}
+// --- RunCpus ---
 
 void Machine::RunCpus(std::vector<std::function<void()>> bodies) {
+  if (world_ == nullptr) {
+    // Standalone: run as the only machine of a private World. The World
+    // returns early only if every CPU parks with nothing left to deliver.
+    World world;
+    world_ = &world;
+    world.Attach(this);
+    bool finished = false;
+    world.Run({[&] {
+      RunCpus(std::move(bodies));
+      finished = true;
+    }});
+    world_ = nullptr;
+    if (!finished) {
+      std::fprintf(stderr, "xok: machine %s: all CPUs idle with no pending events (hang)\n",
+                   config_.name);
+      std::abort();
+    }
+    return;
+  }
   if (bodies.size() != cpus_.size()) {
     std::fprintf(stderr, "xok: machine %s RunCpus wants %zu bodies for %zu CPUs\n", config_.name,
                  bodies.size(), cpus_.size());
@@ -501,94 +429,20 @@ void Machine::RunCpus(std::vector<std::function<void()>> bodies) {
   for (size_t i = 0; i < cpus_.size(); ++i) {
     Cpu* cpu = cpus_[i].get();
     std::function<void()> body = std::move(bodies[i]);
-    cpu->run_state_ = Cpu::RunState::kReady;
-    cpu->fiber_ = std::make_unique<Fiber>([this, cpu, body = std::move(body)] {
+    cpu->fiber_ = std::make_unique<Fiber>([this, body = std::move(body)] {
       body();
-      cpu->run_state_ = Cpu::RunState::kDone;
-      if (world_ != nullptr) {
-        world_->FinishCurrent();  // Parks this fiber forever.
-      }
-      for (;;) {
-        Fiber::Switch(*cpu->fiber_, scheduler_fiber_);
-      }
+      world_->FinishCurrent();  // Parks this fiber forever.
     });
   }
-  if (world_ != nullptr) {
-    // The world schedules the CPU fibers alongside every other machine's;
-    // this body (the world context that was executing as CPU 0) blocks
-    // until all of them have returned.
-    world_->RunCpusBlock(this);
-  } else {
-    ScheduleCpus();
-  }
+  // The world schedules the CPU fibers alongside every other machine's;
+  // this body (the world context that was executing as CPU 0) blocks until
+  // all of them have returned.
+  world_->RunCpusBlock(this);
   smp_running_ = false;
   for (const std::unique_ptr<Cpu>& cpu : cpus_) {
     cpu->fiber_.reset();
-    cpu->run_state_ = Cpu::RunState::kIdle;
   }
   active_ = cpus_[0].get();
-}
-
-void Machine::ScheduleCpus() {
-  // Lowest-local-time-first, the SMP analogue of World::Schedule: among
-  // ready CPUs pick the one whose clock is furthest behind; wake a parked
-  // CPU instead when its next event is due no later than every ready CPU's
-  // present. When nothing is ready and nothing is due, sweep the parked
-  // CPUs with spurious wakes so their kernel loops can observe a global
-  // exit condition; if a full sweep changes nothing, the machine is hung.
-  bool swept = false;
-  for (;;) {
-    Cpu* best_ready = nullptr;
-    Cpu* best_parked = nullptr;
-    uint64_t parked_due = ~0ULL;
-    bool any_undone = false;
-    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-      switch (cpu->run_state_) {
-        case Cpu::RunState::kReady:
-          any_undone = true;
-          if (best_ready == nullptr || cpu->clock().now() < best_ready->clock().now()) {
-            best_ready = cpu.get();
-          }
-          break;
-        case Cpu::RunState::kParked:
-          any_undone = true;
-          if (cpu->NextDueCycle() < parked_due) {
-            parked_due = cpu->NextDueCycle();
-            best_parked = cpu.get();
-          }
-          break;
-        default:
-          break;
-      }
-    }
-    if (!any_undone) {
-      return;  // Every body returned.
-    }
-    if (best_parked != nullptr && parked_due != ~0ULL &&
-        (best_ready == nullptr || parked_due <= best_ready->clock().now())) {
-      best_parked->clock().AdvanceTo(parked_due);
-      swept = false;
-      ResumeCpu(*best_parked);
-      continue;
-    }
-    if (best_ready != nullptr) {
-      swept = false;
-      ResumeCpu(*best_ready);
-      continue;
-    }
-    // Only parked CPUs remain and none has a due event.
-    if (swept) {
-      std::fprintf(stderr, "xok: machine %s: all CPUs idle with no pending events (hang)\n",
-                   config_.name);
-      std::abort();
-    }
-    swept = true;
-    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-      if (cpu->run_state_ == Cpu::RunState::kParked) {
-        ResumeCpu(*cpu);
-      }
-    }
-  }
 }
 
 }  // namespace xok::hw

@@ -12,19 +12,16 @@
 // SMP model: Config::cpus > 1 gives the machine several processors that
 // share physical memory and devices but each own a TLB, ASID, slice timer,
 // interrupt state, event queue, and — crucially — a local cycle clock.
-// The per-CPU kernel loops run on fibers interleaved in
-// lowest-local-time-first order at charge boundaries.
+// RunCpus runs one kernel loop per CPU on its own fiber.
 //
-// Machines of any CPU count may join a hw::World. The unified scheduling
-// invariant: the schedulable context (any CPU of any attached machine)
-// with the globally lowest local clock executes next, ties broken by
-// (machine_index, cpu_index), so multi-machine runs are deterministic.
-// Standalone, the machine runs its own interleaver (Machine::ScheduleCpus),
-// which is the same algorithm restricted to one machine.
+// Scheduling: there is one interleaver, hw::World. The schedulable context
+// (any CPU of any attached machine) with the globally lowest local clock
+// executes next, ties broken by (machine_index, cpu_index), so runs are
+// deterministic. A machine constructed without a World runs RunCpus as the
+// only machine of a private one-machine World.
 #ifndef XOK_SRC_HW_MACHINE_H_
 #define XOK_SRC_HW_MACHINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,8 +56,6 @@ class PrivPort {
   void TlbWriteRandom(const TlbEntry& entry);
   void TlbInvalidate(Vpn vpn, Asid asid);
   void TlbFlushAsid(Asid asid);
-  void TlbFlushAll();
-  const TlbEntry* TlbProbe(Vpn vpn, Asid asid);
 
   // Remote TLB invalidation, the hardware half of a shootdown: drops the
   // matching entries in another CPU's TLB and returns how many were live.
@@ -90,13 +85,6 @@ class PrivPort {
   // interrupts automatically for the duration of OnException/OnInterrupt.
   void SetInterruptsEnabled(bool enabled);
   bool interrupts_enabled() const;
-
-  // Physical (untranslated) memory access, as kernel-mode KSEG0 access on
-  // MIPS. Charges per word.
-  uint32_t PhysReadWord(Paddr pa);
-  void PhysWriteWord(Paddr pa, uint32_t value);
-  // Bulk copy between physical ranges; charges kMemWordCopy per word.
-  void PhysCopy(Paddr dst, Paddr src, uint32_t bytes);
 
   // Schedules a device event `delay` cycles from now on the current CPU.
   void ScheduleEvent(uint64_t delay, InterruptSource source, uint64_t payload);
@@ -131,29 +119,23 @@ class PrivPort {
 // One simulated processor: the state a context switch or an interrupt can
 // touch that is private to a CPU. CPUs share the machine's physical memory
 // and devices; each owns its TLB, ASID, slice timer, interrupt-enable and
-// trap state, pending-event queue, and a local cycle clock (CPU 0 aliases
-// the machine clock so single-CPU configurations are unchanged).
+// trap state, pending-event queue, and a local cycle clock.
 class Cpu {
  public:
-  Cpu(Machine& machine, uint32_t index, std::shared_ptr<CycleClock> clock);
+  Cpu(Machine& machine, uint32_t index);
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
 
   uint32_t index() const { return index_; }
-  CycleClock& clock() { return *clock_; }
-  const CycleClock& clock() const { return *clock_; }
+  CycleClock& clock() { return clock_; }
+  const CycleClock& clock() const { return clock_; }
   Tlb& tlb() { return tlb_; }
 
  private:
   friend class Machine;
   friend class PrivPort;
   friend class World;
-
-  // Where this CPU stands in the SMP interleaver (the machine's own, or the
-  // world's when attached). kIdle outside RunCpus (and always, on a
-  // single-CPU machine).
-  enum class RunState : uint8_t { kIdle, kReady, kRunning, kParked, kDone };
 
   void Charge(uint64_t cycles);
   void WaitForInterrupt();
@@ -175,7 +157,7 @@ class Cpu {
 
   Machine& machine_;
   uint32_t index_;
-  std::shared_ptr<CycleClock> clock_;
+  CycleClock clock_;
   Tlb tlb_;
   Asid asid_ = 0;
   uint64_t slice_deadline_ = 0;
@@ -187,12 +169,12 @@ class Cpu {
   std::priority_queue<PendingEvent, std::vector<PendingEvent>, std::greater<>> events_;
   uint64_t event_seq_ = 0;
 
-  // SMP interleaving (meaningful only while Machine::RunCpus is active).
+  // Interleaving (meaningful only while Machine::RunCpus is active).
   // `fiber_` doubles as the entry fiber and the continuation slot: a switch
   // away saves whatever this CPU was executing — kernel loop or environment
   // fiber — and a switch back resumes it exactly there.
   std::unique_ptr<Fiber> fiber_;
-  RunState run_state_ = RunState::kIdle;
+  bool parked_ = false;  // In WaitForInterrupt, waiting on the World.
 };
 
 class Machine {
@@ -221,7 +203,6 @@ class Machine {
   const CycleClock& clock() const { return active_->clock(); }
   PhysMem& mem() { return mem_; }
   Tlb& tlb() { return active_->tlb(); }
-  World* world() { return world_; }
   const char* name() const { return config_.name; }
 
   uint32_t cpu_count() const { return static_cast<uint32_t>(cpus_.size()); }
@@ -231,7 +212,7 @@ class Machine {
   // Highest local cycle count across CPUs: the wall-clock of an SMP run.
   uint64_t MaxCpuCycle() const;
 
-  // True if `cpu` is parked in WaitForInterrupt under the SMP interleaver.
+  // True if `cpu` is parked in WaitForInterrupt inside RunCpus.
   // Kernels use this to decide whether a cross-CPU wake needs an IPI kick
   // (a busy CPU will rescan on its own; a parked one sleeps until an event).
   bool CpuParked(uint32_t index) const;
@@ -246,8 +227,6 @@ class Machine {
   // kernel; if the kernel cannot resolve them the access returns an error.
   Result<uint32_t> LoadWord(Vaddr va);
   Status StoreWord(Vaddr va, uint32_t value);
-  Result<uint8_t> LoadByte(Vaddr va);
-  Status StoreByte(Vaddr va, uint8_t value);
 
   // Bulk translated copy into / out of a caller buffer. Translates once per
   // page, charges kMemWordCopy per word. Used by library OSes for message
@@ -259,20 +238,22 @@ class Machine {
   Result<int32_t> AddOverflow(int32_t a, int32_t b);  // Signed add, traps on overflow.
   Status CoprocOp();                                  // FP op; traps if coproc disabled.
 
-  // Parks the executing CPU until an interrupt is delivered. In a World,
-  // control passes to other CPUs of any machine; under the standalone SMP
-  // interleaver, to sibling CPUs (a RunCpus CPU resumed without a due event
-  // returns so its kernel loop can re-check its run condition); standalone
-  // single-CPU, the clock jumps to the next local event (aborts if there is
-  // none — that would be a hang).
+  // Parks the executing CPU until an interrupt is delivered. Inside a World
+  // (including RunCpus on a standalone machine), control passes to other
+  // contexts; a RunCpus CPU resumed without a due event returns so its
+  // kernel loop can re-check its run condition. Outside any World — a
+  // kernel loop driven directly by the host — the clock jumps to the next
+  // local event (aborts if there is none — that would be a hang).
   void WaitForInterrupt();
 
   // Runs one body per CPU on its own fiber, interleaved at charge
   // boundaries so that the CPU with the lowest local cycle count executes
-  // first. Standalone the machine interleaves them itself; attached to a
-  // World, each CPU fiber becomes a world context scheduled alongside every
-  // other machine's CPUs, and the calling machine body blocks until all CPU
-  // bodies return. Requires exactly cpu_count() bodies.
+  // first. Each CPU fiber is a World context: attached to a World, the CPUs
+  // are scheduled alongside every other machine's and the calling machine
+  // body blocks until all CPU bodies return; standalone, RunCpus runs the
+  // machine as the only member of a private World and aborts if the CPUs
+  // all park with no pending events (a hang). Requires exactly cpu_count()
+  // bodies.
   void RunCpus(std::vector<std::function<void()>> bodies);
 
   // True while executing the kernel's OnException/OnInterrupt.
@@ -281,17 +262,6 @@ class Machine {
   // Deterministic per-machine id assigned by the world (0 standalone).
   uint32_t world_index() const { return world_index_; }
   void set_world_index(uint32_t index) { world_index_ = index; }
-
-  // Earliest cycle at which this machine has something to do (queued event
-  // or armed slice timer on any CPU); ~0 if none. Used by the world
-  // scheduler.
-  uint64_t NextDueCycle() const {
-    uint64_t next = ~0ULL;
-    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-      next = std::min(next, cpu->NextDueCycle());
-    }
-    return next;
-  }
 
  private:
   friend class Cpu;
@@ -309,24 +279,13 @@ class Machine {
   // Device events are wired to CPU 0, as on most real boards.
   void PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload);
 
-  // --- SMP interleaver (no-ops on a single-CPU machine) ---
-
-  // True if another CPU should execute before `cpu` burns more cycles:
-  // a ready sibling whose local clock is behind, or a parked sibling whose
-  // next event is already due by `cpu`'s local time.
-  bool SiblingBehind(const Cpu& cpu) const;
   // World-side accessor for CPU fibers.
   Fiber* CpuFiber(uint32_t index) { return cpus_[index]->fiber_.get(); }
-  // Saves the executing CPU's continuation and re-enters the scheduler.
-  void YieldCpu(Cpu& cpu);    // Stays ready: resumed by clock order.
-  void ParkCpu(Cpu& cpu);     // Sleeps: resumed by a due event (or spuriously).
-  void ResumeCpu(Cpu& cpu);   // Scheduler side: runs `cpu` until it yields.
-  void ScheduleCpus();        // The interleaving loop itself.
 
   Config config_;
   PhysMem mem_;
   PrivPort priv_;
-  World* world_;
+  World* world_;  // Null standalone, except inside RunCpus.
   uint32_t world_index_ = 0;
 
   TrapSink* kernel_ = nullptr;
@@ -334,7 +293,6 @@ class Machine {
   std::vector<std::unique_ptr<Cpu>> cpus_;
   Cpu* active_ = nullptr;      // The CPU whose code is executing now.
   bool smp_running_ = false;   // Inside RunCpus.
-  Fiber scheduler_fiber_;      // Continuation slot for the RunCpus caller.
 };
 
 }  // namespace xok::hw

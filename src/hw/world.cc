@@ -136,9 +136,7 @@ void World::Schedule() {
 
 void World::ResumeCtx(Ctx* ctx) {
   ctx->state = CtxState::kRunning;
-  if (!ctx->body) {
-    ctx->cpu->run_state_ = Cpu::RunState::kRunning;
-  }
+  ctx->cpu->parked_ = false;
   ctx->machine->active_ = ctx->cpu;
   running_ = ctx;
   Fiber::Switch(world_fiber_, *ctx->fiber);
@@ -148,9 +146,6 @@ void World::ResumeCtx(Ctx* ctx) {
 void World::YieldCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kReady;
-  if (!ctx->body) {
-    ctx->cpu->run_state_ = Cpu::RunState::kReady;
-  }
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 
@@ -161,9 +156,7 @@ void World::ParkCurrent() {
   }
   Ctx* ctx = running_;
   ctx->state = CtxState::kParked;
-  if (!ctx->body) {
-    ctx->cpu->run_state_ = Cpu::RunState::kParked;
-  }
+  ctx->cpu->parked_ = !ctx->body;  // CpuParked reports RunCpus CPUs only.
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 

@@ -8,11 +8,11 @@
 // delivery order is globally consistent with simulated time (with skew
 // bounded by the distance between cycle-charge points).
 //
-// Multi-CPU machines join a World like any other: Machine::RunCpus
-// registers each CPU fiber as a world context and blocks the machine body
-// until every CPU body returns — the machine-local SMP interleaver and the
-// old per-machine world loop are the same algorithm, so there is exactly
-// one of it, here.
+// This is the simulator's only interleaver. Machine::RunCpus registers each
+// CPU fiber as a world context and blocks the machine body until every CPU
+// body returns; a machine built without a World runs RunCpus as the only
+// member of a private one, so standalone SMP machines, uniprocessors and
+// racks all follow the same algorithm.
 #ifndef XOK_SRC_HW_WORLD_H_
 #define XOK_SRC_HW_WORLD_H_
 

@@ -391,5 +391,26 @@ TEST_F(SmpMachineTest, ScheduledEventsStayOnTheCallingCpu) {
   EXPECT_EQ(interrupted_cpu, 1u);
 }
 
+TEST(SmpMachineDeathTest, StandaloneHangAborts) {
+  // Every CPU parks with nothing pending, so the standalone machine's
+  // private World quiesces; RunCpus must report the hang rather than
+  // return as if the bodies had finished.
+  EXPECT_DEATH(
+      {
+        Machine machine(Machine::Config{.phys_pages = 64, .name = "hung", .cpus = 2});
+        FakeKernel kernel(machine);
+        std::vector<std::function<void()>> bodies;
+        for (uint32_t k = 0; k < 2; ++k) {
+          bodies.push_back([&machine] {
+            for (;;) {
+              machine.WaitForInterrupt();
+            }
+          });
+        }
+        machine.RunCpus(std::move(bodies));
+      },
+      "hang");
+}
+
 }  // namespace
 }  // namespace xok::hw

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "src/core/aegis.h"
@@ -754,9 +755,7 @@ TEST_F(PktRingExosTest, RdpOverRingsRecoversFromLoss) {
     p.kernel().SysSleep(hw::kClockHz / 100);
     for (int i = 0; i < kMessages; ++i) {
       std::vector<uint8_t> payload(1 + (i % 16));
-      for (size_t j = 0; j < payload.size(); ++j) {
-        payload[j] = static_cast<uint8_t>(i + j);
-      }
+      std::iota(payload.begin(), payload.end(), static_cast<uint8_t>(i));
       ASSERT_EQ(rdp.Send(payload), Status::kOk);
     }
     retransmissions = rdp.retransmissions();

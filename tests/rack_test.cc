@@ -4,9 +4,10 @@
 //     machines and serves every request;
 //   * two same-seed runs of a World are byte-identical (one-word
 //     fingerprint over every machine's final clocks + client stats);
-//   * a standalone SMP machine's simulated cost table is pinned by golden
-//     values, so event-loop refactors that shift cycle accounting fail
-//     loudly here instead of silently re-baselining every bench;
+//   * an SMP machine's simulated cost table is pinned by golden values,
+//     standalone and World-attached alike, so event-loop refactors that
+//     shift cycle accounting fail loudly here instead of silently
+//     re-baselining every bench;
 //   * a mid-workload power cut halts only the victim machine: lanes
 //     re-steer its arc to ring successors, survivors audit clean, and the
 //     victim's platter image journal-replays to Fsck-clean stores;
@@ -24,6 +25,7 @@
 #include "src/exos/process.h"
 #include "src/exos/server/loadgen.h"
 #include "src/hw/machine.h"
+#include "src/hw/world.h"
 
 namespace xok::exos::server {
 namespace {
@@ -136,35 +138,44 @@ TEST(Rack, SeededWorkerKillIsRepairedBySupervisorUnderWorld) {
 }
 
 TEST(RackDeterminism, SmpStandaloneGoldenCostTable) {
-  // A standalone 4-CPU machine (no World) running a fixed workload must
-  // reproduce these exact simulated clock values. The goldens were
-  // captured after the unified-event-loop refactor was validated
+  // A 4-CPU machine running a fixed workload must reproduce these exact
+  // simulated clock values, both standalone (no World) and as the only
+  // machine of an explicit hw::World: a standalone machine is a
+  // one-machine World, so the two must agree to the cycle. The goldens
+  // were captured after the unified-event-loop refactor was validated
   // byte-identical against the seed benches; any future scheduler change
-  // that shifts standalone SMP cycle accounting trips this before it
-  // silently re-baselines every bench table.
-  hw::Machine machine(
-      hw::Machine::Config{.phys_pages = 256, .name = "smp4", .cpus = 4});
-  aegis::Aegis kernel(machine);
-  uint64_t wake_cycle[4] = {};
-  std::vector<std::unique_ptr<Process>> procs;
-  for (uint32_t i = 0; i < 4; ++i) {
-    procs.push_back(std::make_unique<Process>(kernel, [i, &wake_cycle](
-                                                          Process& p) {
-      for (uint32_t r = 0; r < 20 + 5 * i; ++r) {
-        (void)p.machine().StoreWord(0x400000 + r * hw::kPageBytes, r);
-        p.kernel().SysYield();
-      }
-      p.kernel().SysSleep(10'000 * (i + 1));
-      wake_cycle[i] = p.kernel().SysGetCycles();
-    }));
-    ASSERT_TRUE(procs.back()->ok());
+  // that shifts SMP cycle accounting trips this before it silently
+  // re-baselines every bench table.
+  for (const bool attached : {false, true}) {
+    SCOPED_TRACE(attached ? "world-attached" : "standalone");
+    std::unique_ptr<hw::World> world = attached ? std::make_unique<hw::World>() : nullptr;
+    hw::Machine machine(hw::Machine::Config{.phys_pages = 256, .name = "smp4", .cpus = 4},
+                        world.get());
+    aegis::Aegis kernel(machine);
+    uint64_t wake_cycle[4] = {};
+    std::vector<std::unique_ptr<Process>> procs;
+    for (uint32_t i = 0; i < 4; ++i) {
+      procs.push_back(std::make_unique<Process>(kernel, [i, &wake_cycle](Process& p) {
+        for (uint32_t r = 0; r < 20 + 5 * i; ++r) {
+          (void)p.machine().StoreWord(0x400000 + r * hw::kPageBytes, r);
+          p.kernel().SysYield();
+        }
+        p.kernel().SysSleep(10'000 * (i + 1));
+        wake_cycle[i] = p.kernel().SysGetCycles();
+      }));
+      ASSERT_TRUE(procs.back()->ok());
+    }
+    if (world != nullptr) {
+      world->Run({[&kernel] { kernel.Run(); }});
+    } else {
+      kernel.Run();
+    }
+    const uint64_t golden_wake[4] = {99514, 131874, 164234, 196594};
+    for (uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(wake_cycle[i], golden_wake[i]) << "cpu-local wake " << i;
+    }
+    EXPECT_EQ(machine.MaxCpuCycle(), 196620u);
   }
-  kernel.Run();
-  const uint64_t golden_wake[4] = {99514, 131874, 164234, 196594};
-  for (uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(wake_cycle[i], golden_wake[i]) << "cpu-local wake " << i;
-  }
-  EXPECT_EQ(machine.MaxCpuCycle(), 196620u);
 }
 
 }  // namespace
