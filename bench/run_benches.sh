@@ -5,7 +5,8 @@
 #   fs    — file-cache policy and journaling ablations  -> BENCH_fs.json
 #   trace — xtrace observability cost ablation          -> BENCH_trace.json
 #   smp   — multi-CPU scaling and shootdown cost        -> BENCH_smp.json
-#   pressure — throughput under revocation storms       -> BENCH_pressure.json
+#   pressure — throughput under revocation storms, plus the
+#              reclaim cost tables (teardown, revocation) -> BENCH_pressure.json
 #   server — end-to-end HTTP/KV serving vs Ultrix       -> BENCH_server.json
 #   overload — goodput vs offered load, shed on/off    -> BENCH_overload.json
 #   reqtrace — per-request critical-path attribution   -> BENCH_reqtrace.json
@@ -44,7 +45,7 @@ case "$suite" in
     with_trace=0
     ;;
   pressure)
-    benches="bench_abl_pressure"
+    benches="bench_abl_pressure bench_abl_teardown bench_abl_revocation"
     default_out="BENCH_pressure.json"
     with_trace=0
     ;;

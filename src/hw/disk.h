@@ -123,9 +123,9 @@ class Disk {
   bool Cancel(uint64_t request_id) { return inflight_.erase(request_id) > 0; }
 
   // Cancels every in-flight transfer whose DMA frame satisfies `pred`.
-  // Used by crash-safe environment teardown: a dying environment's frames
-  // return to the free pool, so DMA into them must not land later (the
-  // frame may have been reallocated to another environment by then).
+  // Used whenever the kernel releases a frame: it returns to the free
+  // pool, so DMA into it must not land later (the frame may have been
+  // reallocated to another environment by then).
   // Barriers have no DMA frame and are never cancelled here.
   std::vector<uint64_t> CancelIf(const std::function<bool(PageId frame)>& pred) {
     std::vector<uint64_t> cancelled;

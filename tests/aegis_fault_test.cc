@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/aegis.h"
@@ -31,8 +32,8 @@ using aegis::PctArgs;
 
 class FaultTest : public ::testing::Test {
  protected:
-  FaultTest()
-      : machine_(hw::Machine::Config{.phys_pages = 128, .name = "fault"}),
+  explicit FaultTest(uint32_t cpus = 1)
+      : machine_(hw::Machine::Config{.phys_pages = 128, .name = "fault", .cpus = cpus}),
         kernel_(machine_),
         disk_(machine_, 128),
         fb_(machine_, 64, 64),
@@ -142,7 +143,17 @@ TEST_F(FaultTest, KillEnvReclaimsEveryResourceClass) {
 
 // --- Killing an environment blocked on a disk transfer ---
 
-TEST_F(FaultTest, KillingBlockedDiskWaiterCancelsTheTransfer) {
+// The same fixture on 1 or 2 CPUs (the parameter).
+class FaultCpusTest : public FaultTest, public ::testing::WithParamInterface<uint32_t> {
+ protected:
+  FaultCpusTest() : FaultTest(GetParam()) {}
+};
+
+// On 2 CPUs the killer runs on CPU 1 while disk completions land on CPU 0,
+// so the completion may retire between teardown's waiter sweep and the
+// per-frame DMA cancel. Either order must leave no transfer in flight and
+// no waiter behind: the frame is still the victim's until it is released.
+TEST_P(FaultCpusTest, KillingBlockedDiskWaiterCancelsTheTransfer) {
   EnvId victim_id = kNoEnv;
   bool victim_submitting = false;
   bool killer_done = false;
@@ -160,12 +171,19 @@ TEST_F(FaultTest, KillingBlockedDiskWaiterCancelsTheTransfer) {
     ADD_FAILURE() << "killed environment resumed";
   };
   EnvSpec killer;
+  killer.cpu_mask = 1ULL << (GetParam() - 1);  // The last CPU.
   killer.entry = [&] {
-    while (!victim_submitting || disk_.inflight_requests() == 0) {
+    // On 2 CPUs also wait for CPU 0 to halt: the victim is then blocked,
+    // so the kill reaps it here on CPU 1 rather than by a reap IPI.
+    while (!victim_submitting || disk_.inflight_requests() == 0 ||
+           (GetParam() > 1 && !machine_.CpuParked(0))) {
       kernel_.SysYield();
     }
+    EXPECT_EQ(kernel_.SysCurrentCpu(), GetParam() - 1);
     ASSERT_EQ(kernel_.KillEnv(victim_id), Status::kOk);
-    // The in-flight DMA aimed at the victim's frame was cancelled, and no
+    EXPECT_EQ(kernel_.remote_kills_sent(), 0u);
+    // The in-flight DMA aimed at the victim's frame was cancelled (or, on
+    // 2 CPUs, may have completed into the still-owned frame first), and no
     // stuck waiter remains.
     EXPECT_EQ(disk_.inflight_requests(), 0u);
     Aegis::AuditReport report = kernel_.AuditInvariants();
@@ -187,6 +205,11 @@ TEST_F(FaultTest, KillingBlockedDiskWaiterCancelsTheTransfer) {
   EXPECT_TRUE(killer_done);
   EXPECT_EQ(kernel_.audit_failures(), 0u) << kernel_.first_audit_failure();
 }
+
+INSTANTIATE_TEST_SUITE_P(Cpus, FaultCpusTest, ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<uint32_t>& param) {
+                           return std::to_string(param.param) + "Cpu";
+                         });
 
 // --- Capability epochs across frame reuse ---
 

@@ -281,6 +281,12 @@ TEST_F(PktRingKernelTest, LegacyQueueCapDropsAreCounted) {
     stats = kernel_.SysPacketStats(*id);
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->queue_pending, 63u);  // One drained; the depth tracks it.
+    // Unbinding releases the kernel queue with the binding; the counters
+    // survive for post-mortems.
+    ASSERT_EQ(kernel_.SysUnbindFilter(*id), Status::kOk);
+    const PacketStats after = kernel_.packet_stats(*id);
+    EXPECT_EQ(after.queue_pending, 0u);
+    EXPECT_EQ(after.queued, 64u);
   };
   ASSERT_TRUE(kernel_.CreateEnv(std::move(spec)).ok());
   kernel_.Run();
