@@ -3,8 +3,10 @@
 // unified event loop is what lets SMP machines co-simulate like this at
 // all). One client machine runs 6 closed-loop lanes; each lane steers
 // every request by consistent hashing over the key to one of N server
-// machines (2 CPUs / 2 workers each), through a per-lane RDP gateway on
-// the server (src/exos/server/rack.h). The workload is write-heavy
+// machines (2 CPUs / 2 workers each), sending httpkv straight to that
+// machine's worker shard filters (src/exos/server/rack.h). The "re-sends"
+// column counts data requests sent again (503 back-off or re-steer); a
+// lossless healthy rack sends each request once. The workload is write-heavy
 // (50% PUTs against journaled per-worker stores, 10 ms per disk
 // access), so each server machine's disk is the natural bottleneck and
 // adding machines must add throughput.
@@ -24,8 +26,8 @@
 //     clean on all kernels.
 //
 // The power-cut arm kills one of four server machines mid-measurement:
-// lanes must detect the silence (RDP retry exhaustion / bounded reply
-// wait), re-steer the dead arc to ring successors and keep serving; the
+// lanes must detect the silence (no reply within the 250 ms reply bound),
+// re-steer the dead arc to ring successors and keep serving; the
 // victim's platter image must reboot into Fsck-clean journaled stores.
 #include <algorithm>
 #include <cstdint>
@@ -147,7 +149,7 @@ void PrintPaperTables() {
       "(6 lanes, 50% PUT, journaled stores; " +
           std::to_string(kScalingSeeds) + " seeds pooled)",
       {"server machines", "CPUs total", "aggregate r/s", "speedup", "acked",
-       "resteered", "rdp retransmits", "busiest/ideal"});
+       "resteered", "re-sends", "busiest/ideal"});
   for (const Arm& arm : arms) {
     uint64_t busiest = 0;
     for (const uint64_t a : arm.acked_by_server) {

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.corrupt),
               static_cast<unsigned long long>(r.gave_up),
               static_cast<unsigned long long>(r.resteered));
-  std::printf("  aggregate %.1f req/s over %.1f ms  (retransmits %llu)\n",
+  std::printf("  aggregate %.1f req/s over %.1f ms  (re-sends %llu)\n",
               r.aggregate_rps,
               1e3 * static_cast<double>(r.elapsed_cycles) / hw::kClockHz,
               static_cast<unsigned long long>(r.retransmissions));

@@ -11,7 +11,7 @@
 #include "src/core/aegis.h"
 #include "src/exos/fs.h"
 #include "src/exos/process.h"
-#include "src/exos/rdp.h"
+#include "src/exos/udp.h"
 #include "src/exos/server/loadgen.h"
 #include "src/hw/disk.h"
 #include "src/hw/fault.h"
@@ -107,135 +107,56 @@ NetIface RackIface(uint32_t machine) {
   return NetIface{0xa + machine, machine + 1, RackResolve};
 }
 
-uint16_t RackLanePort(uint32_t lane, uint32_t server) {
-  return static_cast<uint16_t>(kRackLaneBase + lane * kRackMaxServers + server);
-}
-
 namespace {
 
-constexpr uint8_t kByeFrame[3] = {'B', 'Y', 'E'};
-
-// --- Server side: one gateway environment per (machine, lane) ---
-
-struct GatewayConfig {
-  uint32_t machine = 1;  // 1-based rack machine index.
-  uint32_t lane = 0;
-  uint64_t rto_cycles = 0;
-  uint64_t rto_cap_cycles = 0;
-  uint64_t jitter_seed = 0;
-};
-
-// Terminates the lane's RDP session and replays the inner HTTP/KV payload
-// against the machine-local KvServer through NIC loopback. All library
-// code: two sockets and a forwarding loop; the kernel sees only filters
-// and frames.
-void RunRackGateway(Process& p, const GatewayConfig& cfg) {
-  const NetIface iface = RackIface(cfg.machine);
-  UdpSocket rdp_sock(p, iface);
-  if (rdp_sock.Bind(static_cast<uint16_t>(kRackGatewayBase + cfg.lane)) !=
-      Status::kOk) {
-    return;
-  }
-  RdpEndpoint::Config rc;
-  rc.peer_ip = RackIface(0).ip;
-  rc.peer_port = RackLanePort(cfg.lane, cfg.machine - 1);
-  rc.retransmit_cycles = cfg.rto_cycles;
-  rc.retransmit_cap_cycles = cfg.rto_cap_cycles;
-  rc.max_retries = 16;
-  rc.jitter_seed = cfg.jitter_seed;
-  RdpEndpoint rdp(p, rdp_sock, rc);
-
-  UdpSocket kv_sock(p, iface);
-  if (kv_sock.Bind(static_cast<uint16_t>(kRackForwardBase + cfg.lane)) !=
-      Status::kOk) {
-    return;
-  }
-
-  for (;;) {
-    Result<std::vector<uint8_t>> req = rdp.Recv();
-    if (!req.ok() || req->size() < kReqHeaderBytes) {
-      break;  // BYE (or a dead socket): the lane is done with us.
-    }
-    const uint32_t req_id = net::GetBe32(*req, 1);
-
-    // Forward through the loopback and wait for the KvServer's echo of the
-    // same request id. Re-sending after a long silence tolerates a worker
-    // still in its (journaled, slow) storage setup — worst case the whole
-    // Format + preload at 10 ms per disk access — and requests are
-    // idempotent, so a duplicate only costs the duplicate's service time.
-    std::vector<uint8_t> reply;
-    const uint64_t resend_every = hw::kClockHz / 4;      // 250 ms.
-    const uint64_t forward_budget = 3 * hw::kClockHz;    // Covers warmup.
-    const uint64_t give_up_at = p.machine().clock().now() + forward_budget;
-    while (reply.empty() && p.machine().clock().now() < give_up_at) {
-      // A failed SendTo is TX-ring backpressure, not an error: wait and
-      // re-send on the next beat.
-      (void)kv_sock.SendTo(iface.ip, kRackKvPort, *req);
-      const uint64_t resend_at =
-          std::min(p.machine().clock().now() + resend_every, give_up_at);
-      for (;;) {
-        Result<Datagram> d = kv_sock.Recv(/*blocking=*/false);
-        if (!d.ok()) {
-          if (!kv_sock.WaitOrSleep(resend_at)) {
-            break;  // Re-send time: next beat.
-          }
-          continue;
-        }
-        if (d->payload.size() >= kRespHeaderBytes &&
-            net::GetBe32(d->payload, 0) == req_id) {
-          reply = std::move(d->payload);
-          break;
-        }
-        // A stale duplicate's reply: drop and keep waiting for ours.
-      }
-    }
-    if (reply.empty()) {
-      // The local server never answered (it may be mid-restart). Tell the
-      // client to retry rather than leaving its bounded wait to expire.
-      const std::string text = BuildHttpResponse(503, "gw-timeout");
-      reply.resize(kRespHeaderBytes + text.size());
-      net::PutBe32(reply, 0, req_id);
-      std::copy(text.begin(), text.end(), reply.begin() + kRespHeaderBytes);
-    }
-    // The client may have re-steered away mid-request; a failed relay is
-    // its problem to retry, not ours to block on.
-    (void)rdp.Send(reply);
-  }
-  // Two-generals tail: if our BYE ack was lost the lane is still
-  // retransmitting; answer every retransmission for a short grace period
-  // before exiting.
-  const uint64_t grace_end = p.machine().clock().now() + 4 * (cfg.rto_cycles + 1);
-  for (;;) {
-    rdp.PumpAcks();
-    if (!rdp_sock.WaitOrSleep(grace_end)) {
-      break;
-    }
-  }
-  (void)rdp_sock.Close();
-  (void)kv_sock.Close();
-}
-
-// --- Client side: lane environments ---
+// One failure detector: a server that sends no reply within kReplyBound is
+// marked down and its keys re-steered. A 503 means the worker is catching
+// up (overload shed, store repair): back off kBusyBackoff and ask again.
+constexpr uint64_t kReplyBound = hw::kClockHz / 4;     // 250 ms.
+constexpr uint64_t kBusyBackoff = hw::kClockHz / 250;  // 4 ms.
 
 struct LaneShared {
   const RackConfig* config = nullptr;
   const HashRing* ring = nullptr;
   RackState* state = nullptr;
-  uint64_t retransmissions = 0;  // Summed as each lane finishes.
-  bool warm = false;             // Lane 0 sets after readiness probes.
+  uint64_t resends = 0;  // Sends past each data request's first, all lanes.
+  bool warm = false;     // Lane 0 sets after readiness probes.
   // Lanes 1.. block until lane 0, done warming, wakes them through these.
   std::vector<std::pair<aegis::EnvId, cap::Capability>> waiting_lanes;
-};
-
-struct LaneRdp {
-  std::unique_ptr<UdpSocket> sock;
-  std::unique_ptr<RdpEndpoint> ep;
 };
 
 void MarkDown(RackState& st, uint32_t server, uint64_t now) {
   if (server < st.alive.size() && st.alive[server]) {
     st.alive[server] = 0;
     st.down_at[server] = now;
+  }
+}
+
+// One request/reply exchange with server machine index `s` (0-based):
+// sends `payload` once to that machine's KvServer — whose DPF shard
+// filters put the frame on the owning worker's ring — and waits until the
+// server's reply carrying `req_id` arrives or `timeout` passes. Replies to
+// other ids (late answers to earlier attempts) are dropped. Empty on
+// timeout. A failed SendTo is a lost frame: the wait times out like any
+// other loss.
+std::vector<uint8_t> Exchange(Process& p, UdpSocket& sock, uint32_t s,
+                              const std::vector<uint8_t>& payload,
+                              uint32_t req_id, uint64_t timeout) {
+  const uint32_t server_ip = RackIface(1 + s).ip;
+  (void)sock.SendTo(server_ip, kRackKvPort, payload);
+  const uint64_t deadline = p.machine().clock().now() + timeout;
+  for (;;) {
+    Result<Datagram> d = sock.Recv(/*blocking=*/false);
+    if (!d.ok()) {
+      if (!sock.WaitOrSleep(deadline)) {
+        return {};
+      }
+      continue;
+    }
+    if (d->src_ip == server_ip && d->payload.size() >= kRespHeaderBytes &&
+        net::GetBe32(d->payload, 0) == req_id) {
+      return std::move(d->payload);
+    }
   }
 }
 
@@ -247,38 +168,38 @@ struct LaneReply {
   uint32_t served_by = 0;
 };
 
-// One reliable request round: send to the key's current owner, wait for
-// the reply, and on transport failure mark the machine down and re-steer
-// to the ring successor.
-LaneReply LaneRequest(Process& p, LaneShared& sh, std::vector<LaneRdp>& rdp,
+// One request round: send to the key's current owner and wait for the
+// reply; on silence past the reply bound mark the machine down and
+// re-steer to the ring successor.
+LaneReply LaneRequest(Process& p, LaneShared& sh, UdpSocket& sock,
                       uint32_t req_id, const std::vector<uint8_t>& payload,
                       std::string_view key) {
   const RackConfig& cfg = *sh.config;
   RackState& st = *sh.state;
   LaneReply out;
+  bool sent = false;
   for (uint32_t hops = 0; hops <= cfg.server_machines; ++hops) {
     const uint32_t s = sh.ring->Owner(key, st.alive);
     if (s >= cfg.server_machines) {
       return out;  // Nothing alive.
     }
     for (int retry = 0; retry < 3; ++retry) {
-      if (rdp[s].ep->Send(payload) != Status::kOk) {
-        MarkDown(st, s, p.machine().clock().now());
-        break;  // Re-steer.
+      if (sent) {
+        ++sh.resends;
       }
-      Result<std::vector<uint8_t>> resp =
-          rdp[s].ep->Recv(cfg.reply_timeout_cycles);
-      if (!resp.ok()) {
+      sent = true;
+      const std::vector<uint8_t> resp =
+          Exchange(p, sock, s, payload, req_id, kReplyBound);
+      if (resp.empty()) {
         MarkDown(st, s, p.machine().clock().now());
         break;  // Re-steer.
       }
       HttpResponseView view;
-      if (!ParseResponsePayload(*resp, &view) || view.req_id != req_id) {
-        continue;  // Stale or damaged reply; ask again.
+      if (!ParseResponsePayload(resp, &view)) {
+        continue;  // Damaged reply; ask again.
       }
       if (view.status == 503) {
-        // Retryable: the gateway or worker is catching up.
-        p.kernel().SysSleep(cfg.rto_cycles * 4);
+        p.kernel().SysSleep(kBusyBackoff);
         continue;
       }
       out.status = view.status;
@@ -295,29 +216,13 @@ LaneReply LaneRequest(Process& p, LaneShared& sh, std::vector<LaneRdp>& rdp,
   return out;
 }
 
-struct LaneConfig {
-  uint32_t lane = 0;
-};
-
-void RunRackLane(Process& p, const LaneConfig& lane_cfg, LaneShared& sh) {
+void RunRackLane(Process& p, uint32_t lane, LaneShared& sh) {
   const RackConfig& cfg = *sh.config;
   RackState& st = *sh.state;
-  const uint32_t lane = lane_cfg.lane;
 
-  std::vector<LaneRdp> rdp(cfg.server_machines);
-  for (uint32_t s = 0; s < cfg.server_machines; ++s) {
-    rdp[s].sock = std::make_unique<UdpSocket>(p, RackIface(0));
-    if (rdp[s].sock->Bind(RackLanePort(lane, s)) != Status::kOk) {
-      return;
-    }
-    RdpEndpoint::Config rc;
-    rc.peer_ip = RackIface(1 + s).ip;
-    rc.peer_port = static_cast<uint16_t>(kRackGatewayBase + lane);
-    rc.retransmit_cycles = cfg.rto_cycles;
-    rc.retransmit_cap_cycles = cfg.rto_cap_cycles;
-    rc.max_retries = cfg.max_retries;
-    rc.jitter_seed = cfg.seed * 0x9e37u + lane * 131u + s * 7u + 1;
-    rdp[s].ep = std::make_unique<RdpEndpoint>(p, *rdp[s].sock, rc);
+  UdpSocket sock(p, RackIface(0));
+  if (sock.Bind(static_cast<uint16_t>(kRackLaneBase + lane)) != Status::kOk) {
+    return;
   }
 
   const uint32_t id_base = (lane + 1) * 1'000'000;
@@ -325,10 +230,10 @@ void RunRackLane(Process& p, const LaneConfig& lane_cfg, LaneShared& sh) {
     // Readiness: probe every (server, shard) until it answers, so the
     // measured phase starts against warmed-up machines. Worker storage
     // setup journals its whole Format + preload at 10 ms per disk access —
-    // north of a simulated second — during which probes time out or come
-    // back 503; keep asking. A Send failure just means the gateway is
-    // mid-forward (it cannot ACK while it waits on its KV socket): back
-    // off and retry.
+    // north of a simulated second — during which probes go unanswered or
+    // come back 503; keep asking. The budget is generous: a probe loop
+    // that gives up early starts the measured phase against cold workers
+    // (everything marks down and the run melts).
     p.kernel().SysSleep(hw::kClockHz / 100);
     uint32_t probe_id = id_base + 900'000;
     for (uint32_t s = 0; s < cfg.server_machines; ++s) {
@@ -343,24 +248,15 @@ void RunRackLane(Process& p, const LaneConfig& lane_cfg, LaneShared& sh) {
         const std::vector<uint8_t> probe = BuildRequestPayload(
             ++probe_id, BuildGetRequest(key), key,
             static_cast<int>(shard));
-        // Generous budget: a long preload plus the gateway's forward
-        // timeslice can starve probe Sends for whole simulated seconds,
-        // and a probe loop that gives up early starts the measured phase
-        // against cold workers (everything marks down and the run melts).
         for (int tries = 0; tries < 200; ++tries) {
-          if (rdp[s].ep->Send(probe) != Status::kOk) {
-            p.kernel().SysSleep(hw::kClockHz / 50);
-            continue;
-          }
-          Result<std::vector<uint8_t>> resp =
-              rdp[s].ep->Recv(hw::kClockHz);  // 1 s per probe reply.
-          if (!resp.ok()) {
-            continue;
-          }
+          const std::vector<uint8_t> resp =
+              Exchange(p, sock, s, probe, probe_id, kReplyBound);
           HttpResponseView view;
-          if (ParseResponsePayload(*resp, &view) && view.req_id == probe_id &&
-              view.status != 503) {
-            break;
+          if (ParseResponsePayload(resp, &view)) {
+            if (view.status != 503) {
+              break;
+            }
+            p.kernel().SysSleep(kBusyBackoff);
           }
         }
       }
@@ -392,7 +288,7 @@ void RunRackLane(Process& p, const LaneConfig& lane_cfg, LaneShared& sh) {
     } else {
       payload = BuildRequestPayload(req_id, BuildGetRequest(key), key);
     }
-    const LaneReply rep = LaneRequest(p, sh, rdp, req_id, payload, key);
+    const LaneReply rep = LaneRequest(p, sh, sock, req_id, payload, key);
     const uint64_t now = p.machine().clock().now();
     if (rep.status == 0) {
       ++st.gave_up;
@@ -432,44 +328,27 @@ void RunRackLane(Process& p, const LaneConfig& lane_cfg, LaneShared& sh) {
     // Last lane out: drain every server's workers (QUIT per shard) so the
     // server kernels can finish. Even machines marked down get one — a
     // false-positive down-marking must not leave a live kernel spinning.
+    // A worker that never hears QUIT never exits and its kernel never
+    // returns, wedging the whole World — so confirm delivery (any reply
+    // means the worker processed it) and re-send until confirmed. A
+    // powered-off machine costs this loop a bounded 8 reply bounds per
+    // shard, and so does a QUIT whose reply was lost: the re-send comes
+    // after the worker's kQuitGraceCycles, but that worker has exited.
     uint32_t quit_id = 99'000'000;
     for (uint32_t s = 0; s < cfg.server_machines; ++s) {
       for (uint32_t shard = 0; shard < cfg.cpus_per_server; ++shard) {
-        // A worker that never hears QUIT never exits and its kernel never
-        // returns, wedging the whole World — so confirm delivery (any
-        // reply means the worker processed it) and retry until confirmed.
-        // A Send failure is usually the gateway mid-forward (it cannot
-        // ACK while it waits on its KV socket), not a dead machine: back
-        // off and try again. A genuinely powered-off machine fails every attempt
-        // and costs this loop a bounded ~0.4 simulated s per shard.
+        const std::vector<uint8_t> quit = BuildRequestPayload(
+            ++quit_id, BuildQuitRequest(), LoadKeyName(0),
+            static_cast<int>(shard));
         for (int attempt = 0; attempt < 8; ++attempt) {
-          const std::vector<uint8_t> quit = BuildRequestPayload(
-              ++quit_id, BuildQuitRequest(), LoadKeyName(0),
-              static_cast<int>(shard));
-          if (rdp[s].ep->Send(quit) != Status::kOk) {
-            p.kernel().SysSleep(hw::kClockHz / 50);
-            continue;
-          }
-          Result<std::vector<uint8_t>> resp =
-              rdp[s].ep->Recv(2 * cfg.reply_timeout_cycles);
-          HttpResponseView view;
-          if (resp.ok() && ParseResponsePayload(*resp, &view) &&
-              view.req_id == quit_id) {
+          if (!Exchange(p, sock, s, quit, quit_id, kReplyBound).empty()) {
             break;
           }
         }
       }
     }
   }
-  // Dismiss this lane's gateways (each lane owns its own, so order across
-  // lanes does not matter). A dead machine's Send just times out.
-  for (uint32_t s = 0; s < cfg.server_machines; ++s) {
-    (void)rdp[s].ep->Send(std::span<const uint8_t>(kByeFrame, 3));
-  }
-  for (uint32_t s = 0; s < cfg.server_machines; ++s) {
-    sh.retransmissions += rdp[s].ep->retransmissions();
-    (void)rdp[s].sock->Close();
-  }
+  (void)sock.Close();
 }
 
 uint64_t FnvMix(uint64_t h, uint64_t v) {
@@ -600,7 +479,6 @@ RackResult RunRack(const RackConfig& config) {
   }
 
   const uint32_t workers = config.cpus_per_server;
-  KvServerConfig kv_template;
   std::vector<std::unique_ptr<KvServer>> servers;
   for (uint32_t s = 0; s < config.server_machines; ++s) {
     KvServerConfig kv;
@@ -619,25 +497,6 @@ RackResult RunRack(const RackConfig& config) {
     }
   }
 
-  std::vector<std::unique_ptr<Process>> gateways;
-  for (uint32_t s = 0; s < config.server_machines; ++s) {
-    for (uint32_t lane = 0; lane < config.lanes; ++lane) {
-      GatewayConfig gc;
-      gc.machine = 1 + s;
-      gc.lane = lane;
-      gc.rto_cycles = config.rto_cycles;
-      gc.rto_cap_cycles = config.rto_cap_cycles;
-      gc.jitter_seed = config.seed * 77 + s * 17 + lane * 3 + 1;
-      gateways.push_back(std::make_unique<Process>(
-          *kernels[1 + s],
-          [gc](Process& p) { RunRackGateway(p, gc); }));
-      if (!gateways.back()->ok()) {
-        result.error = "gateway env creation failed";
-        return result;
-      }
-    }
-  }
-
   HashRing ring(config.server_machines, config.vnodes);
   RackState state;
   state.alive.assign(config.server_machines, 1);
@@ -651,10 +510,8 @@ RackResult RunRack(const RackConfig& config) {
 
   std::vector<std::unique_ptr<Process>> lanes;
   for (uint32_t lane = 0; lane < config.lanes; ++lane) {
-    LaneConfig lc;
-    lc.lane = lane;
     lanes.push_back(std::make_unique<Process>(
-        *kernels[0], [lc, &shared](Process& p) { RunRackLane(p, lc, shared); }));
+        *kernels[0], [lane, &shared](Process& p) { RunRackLane(p, lane, shared); }));
     if (!lanes.back()->ok()) {
       result.error = "lane env creation failed";
       return result;
@@ -676,7 +533,7 @@ RackResult RunRack(const RackConfig& config) {
   result.gave_up = state.gave_up;
   result.resteered = state.resteered;
   result.acked_by_server = state.acked_by_server;
-  result.retransmissions = shared.retransmissions;
+  result.retransmissions = shared.resends;
 
   uint64_t last_done = 0;
   for (const uint64_t c : state.lane_done_cycle) {
@@ -691,14 +548,12 @@ RackResult RunRack(const RackConfig& config) {
 
   if (victim >= 0 && static_cast<uint32_t>(victim) < config.server_machines) {
     result.cut_fired = kernels[1 + victim]->powered_off();
-    const uint64_t down = state.down_at[static_cast<uint32_t>(victim)];
     if (result.cut_fired && state.first_resteer_ack > config.power_cut_cycle) {
       result.recovery_cycles = state.first_resteer_ack - config.power_cut_cycle;
     }
-    (void)down;
     if (config.verify_recovery && result.cut_fired) {
       VerifyRecovery(disks[static_cast<uint32_t>(victim)]->TakeImage(), workers,
-                     kv_template.disk_blocks, &result);
+                     KvServerConfig{}.disk_blocks, &result);
     }
   }
 
@@ -730,7 +585,7 @@ RackResult RunRack(const RackConfig& config) {
   fp = FnvMix(fp, state.acked);
   fp = FnvMix(fp, state.corrupt);
   fp = FnvMix(fp, state.resteered);
-  fp = FnvMix(fp, shared.retransmissions);
+  fp = FnvMix(fp, shared.resends);
   for (const uint64_t a : state.acked_by_server) {
     fp = FnvMix(fp, a);
   }

@@ -4,27 +4,25 @@
 //
 // Topology. Machine 0 is the client; machines 1..N each run the
 // *unmodified* KvServer libOS (src/exos/server/server.h) on their own
-// CPUs, NIC and disk. The client runs L "lane" environments; each lane
-// owns one RDP endpoint per server machine (stop-and-wait ARQ,
-// src/exos/rdp.h) and steers every request by consistent hashing over the
-// key — sharding policy in library space, one more time: the kernels on
-// either side know nothing about lanes, rings, or shards.
-//
-// On each server machine a per-lane RackGateway environment terminates the
-// lane's RDP session and forwards the inner HTTP/KV payload to the
-// machine-local KvServer through the NIC's internal loopback (the same
-// frames, filters, and rings a remote client would exercise), then relays
-// the reply back over RDP. The gateway is plain library code gluing two
-// transports together; KvServer is byte-for-byte the single-machine one.
+// CPUs, NIC and disk. The client runs L "lane" environments; each lane is
+// a plain httpkv client with one UDP socket, the same protocol loadgen
+// speaks, and steers every request by consistent hashing over the key —
+// sharding policy in library space, one more time: the kernels on either
+// side know nothing about lanes, rings, or shards. A request frame goes
+// straight to its server machine, whose DPF shard filters put it on the
+// owning worker's ring; the worker replies to the frame's source. The
+// httpkv envelope is the whole protocol: request-id matching, idempotent
+// re-sends and an X-Sum on every reply.
 //
 // Failure model. A server machine can lose power mid-workload
 // (hw::FaultPlan::PowerCutAt — machine-scoped under a World: the others
-// keep running). Client lanes detect the silence through RDP retry
-// exhaustion or a bounded reply wait, mark the machine down in the shared
-// host-side RackState, and re-steer the key to the next alive server on
-// the ring. After the run the victim's platter image is rebooted into a
-// fresh machine and every worker extent is remounted: journal replay must
-// leave Fsck-clean file systems holding every synced key.
+// keep running). A server that sends no reply within the 250 ms reply
+// bound is marked down in the shared host-side RackState (there is no
+// mark-up path), and lanes re-steer its keys to the next alive server on
+// the ring. A 503 is not silence: the lane backs off 4 ms and asks again.
+// After the run the victim's platter image is rebooted into a fresh
+// machine and every worker extent is remounted: journal replay must leave
+// Fsck-clean file systems holding every synced key.
 #ifndef XOK_SRC_EXOS_SERVER_RACK_H_
 #define XOK_SRC_EXOS_SERVER_RACK_H_
 
@@ -62,17 +60,12 @@ class HashRing {
 
 // --- Address plan (static, like every exos experiment: no ARP) ---
 // Machine m (0 = client, 1.. = servers): ip = m + 1, mac = 0xa + m.
-inline constexpr uint16_t kRackKvPort = 7080;       // KvServer, per machine.
-inline constexpr uint16_t kRackLaneBase = 8000;     // Client lane sockets.
-inline constexpr uint16_t kRackGatewayBase = 8200;  // Gateway RDP sockets.
-inline constexpr uint16_t kRackForwardBase = 8400;  // Gateway->KV sockets.
+inline constexpr uint16_t kRackKvPort = 7080;    // KvServer, per machine.
+inline constexpr uint16_t kRackLaneBase = 8000;  // + lane: client lane socket.
 inline constexpr uint32_t kRackMaxServers = 8;
 
 uint64_t RackResolve(uint32_t ip);
 NetIface RackIface(uint32_t machine);
-// The client-side port lane `lane` uses to talk to server machine index
-// `server` (0-based): each (lane, server) pair is its own RDP session.
-uint16_t RackLanePort(uint32_t lane, uint32_t server);
 
 // Shared host-side state every client lane reads and writes. Lanes are
 // cooperative fibers of one machine, so plain fields need no locking.
@@ -102,13 +95,6 @@ struct RackConfig {
   uint32_t put_per_mille = 250;
   uint64_t seed = 1;
   uint32_t vnodes = 16;
-
-  // Client-side failure detection: small retry budget and a bounded reply
-  // wait so a powered-off machine is declared dead in a few simulated ms.
-  uint64_t rto_cycles = hw::kClockHz / 1000;        // 1 ms initial RTO.
-  uint64_t rto_cap_cycles = hw::kClockHz / 250;     // 4 ms cap.
-  int max_retries = 6;
-  uint64_t reply_timeout_cycles = hw::kClockHz / 4;  // 250 ms reply bound.
 
   // Power-cut arm: cut this server machine (0-based index among servers,
   // -1 = no cut) at the given absolute cycle on that machine's clock.
@@ -141,7 +127,7 @@ struct RackResult {
   uint64_t gave_up = 0;
   uint64_t resteered = 0;
   std::vector<uint64_t> acked_by_server;
-  uint64_t retransmissions = 0;  // Client-side RDP retransmits, all lanes.
+  uint64_t retransmissions = 0;  // Re-sent data requests, all lanes.
 
   // Power-cut arm.
   bool cut_fired = false;

@@ -347,11 +347,12 @@ TEST(RdpTest, SeededJitterDecorrelatesRetransmitSchedules) {
   EXPECT_EQ(jit_a, jit_a2);   // Jitter is replayable, not randomness.
 }
 
-// A rack lane's request/reply rhythm over a lossless wire: the client's
-// Send waits for the ACK and its bounded Recv for the reply, each on the
-// socket's doorbell with the timeout as the deadline. Napping a fraction
-// of the RTO per poll would cost several sleeps per wait; an event-driven
-// wait costs at most one per wait — two per round — and no retransmits.
+// A client's request/reply rhythm over a lossless wire, against an echo
+// peer (`gateway`): the client's Send waits for the ACK and its bounded
+// Recv for the reply, each on the socket's doorbell with the timeout as
+// the deadline. Napping a fraction of the RTO per poll would cost several
+// sleeps per wait; an event-driven wait costs at most one per wait — two
+// per round — and no retransmits.
 TEST(RdpTest, LaneRoundsWaitOnDoorbellsNotNaps) {
   constexpr int kRounds = 40;
   hw::World world;
@@ -401,7 +402,7 @@ TEST(RdpTest, LaneRoundsWaitOnDoorbellsNotNaps) {
   EXPECT_EQ(retransmissions, 0u);
   const uint32_t sleep = static_cast<uint32_t>(xtrace::Sys::kSleep);
   EXPECT_LE(ka.env_stats(lane.id()).counters.syscalls[sleep], 2u * kRounds);
-  // The gateway's unbounded Recv blocks; only its Send waits are timed.
+  // The echo peer's unbounded Recv blocks; only its Send waits are timed.
   EXPECT_LE(kb.env_stats(gateway.id()).counters.syscalls[sleep], 1u * kRounds);
 }
 

@@ -52,6 +52,7 @@ TEST(Rack, ShardingServesEveryRequestAcrossMachines) {
   EXPECT_EQ(r.corrupt, 0u);
   EXPECT_EQ(r.gave_up, 0u);
   EXPECT_EQ(r.resteered, 0u);  // Nobody died: every key served at home.
+  EXPECT_EQ(r.retransmissions, 0u);  // Lossless wire: nothing is re-sent.
   ASSERT_EQ(r.acked_by_server.size(), 2u);
   // The ring must actually spread the key space: both machines serve.
   EXPECT_GT(r.acked_by_server[0], 0u);
@@ -119,11 +120,11 @@ TEST(Rack, SeededWorkerKillIsRepairedBySupervisorUnderWorld) {
   config.seed = 7;
   config.kill_server = 0;
   // Env layout on a server machine is deterministic: envs 1-2 are the
-  // stride scheduler's per-CPU envs, 3 the supervisor, 4-5 the per-lane
-  // gateways (lanes = 2), 6-7 the two KvServer workers. If this layout
-  // shifts, the incarnation assertion below fails (kill hit a non-worker)
-  // — update the env id rather than weakening the assertion.
-  config.kill_env = 6;
+  // stride scheduler's per-CPU envs, 3 the supervisor, 4-5 the two
+  // KvServer workers. If this layout shifts, the incarnation assertion
+  // below fails (kill hit a non-worker) — update the env id rather than
+  // weakening the assertion.
+  config.kill_env = 4;
   config.kill_cycle = hw::kClockHz / 2;  // 0.5 s: mid-warmup, worker live.
   const RackResult r = RunRack(config);
   ASSERT_TRUE(r.ok) << r.error;
