@@ -11,6 +11,12 @@
 #   overload — goodput vs offered load, shed on/off    -> BENCH_overload.json
 #   reqtrace — per-request critical-path attribution   -> BENCH_reqtrace.json
 #   rack  — multi-machine rack scaling + power-cut failover -> BENCH_rack.json
+#   paper — the paper's tables and figures (T2–T6, T8–T10, T12, F2, F3)
+#           plus the STLB, DPF, ASH ILP, page-table and yield
+#           ablations                                  -> BENCH_paper.json
+#
+# bench_t01_machine (Table 1, the simulated machine's parameters) is in no
+# suite: it is not a google-benchmark binary and writes no JSON.
 #
 # The trace suite additionally arms the kernel event ring in every bench
 # boot (--xok_trace) and writes one TRACE_<bench>.json event summary next
@@ -18,8 +24,9 @@
 #
 # Usage: run_benches.sh [suite] [output.json]
 #   BENCH_BIN_DIR: directory holding the bench binaries (default: cwd).
-# Invoked by the optional `bench_net` / `bench_fs` / `bench_trace` CMake
-# targets; also runnable by hand from the build tree's bench/ directory.
+# Invoked by the optional `bench_<suite>` CMake targets (`bench_net`,
+# `bench_paper`, ...); also runnable by hand from the build tree's bench/
+# directory.
 set -eu
 
 suite="${1:-net}"
@@ -69,8 +76,17 @@ case "$suite" in
     default_out="BENCH_rack.json"
     with_trace=0
     ;;
+  paper)
+    benches="bench_t02_null_call bench_t03_primops bench_t04_ctx_switch
+             bench_t05_exceptions bench_t06_pct bench_t08_ipc bench_t09_vm_matrix
+             bench_t10_appel_li bench_t12_tlrpc bench_f02_ash_scaling bench_f03_stride
+             bench_abl_stlb bench_abl_dpf bench_abl_ash_ilp bench_abl_page_table
+             bench_abl_yield"
+    default_out="BENCH_paper.json"
+    with_trace=0
+    ;;
   *)
-    echo "run_benches: unknown suite '$suite' (expected: net, fs, trace, smp, pressure, server, overload, reqtrace, rack)" >&2
+    echo "run_benches: unknown suite '$suite' (expected: net, fs, trace, smp, pressure, server, overload, reqtrace, rack, paper)" >&2
     exit 2
     ;;
 esac

@@ -14,18 +14,25 @@
 // crash-consistent library file system must survive. TakeImage /
 // RestoreImage let a test boot a fresh Machine over the surviving platter
 // contents.
+//
+// The platter is a lazily backed, guard-paged host mapping (mapping.h), so
+// a block costs host memory only once it is written; never-written blocks
+// read zero.
 #ifndef XOK_SRC_HW_DISK_H_
 #define XOK_SRC_HW_DISK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
 #include "src/hw/fault.h"
 #include "src/hw/machine.h"
+#include "src/hw/mapping.h"
 
 namespace xok::hw {
 
@@ -41,7 +48,8 @@ class Disk {
   Disk(Machine& machine, uint32_t block_count)
       : machine_(machine),
         block_count_(block_count),
-        media_(static_cast<size_t>(block_count) * kPageBytes, 0) {}
+        mapping_(static_cast<size_t>(block_count) * kPageBytes),
+        media_(mapping_.bytes().first(static_cast<size_t>(block_count) * kPageBytes)) {}
 
   uint32_t block_count() const { return block_count_; }
 
@@ -159,14 +167,14 @@ class Disk {
 
   // Snapshot of the durable platter contents (the volatile buffer is
   // deliberately excluded — only barrier-ordered state survives a reboot).
-  std::vector<uint8_t> TakeImage() const { return media_; }
+  std::vector<uint8_t> TakeImage() const { return std::vector<uint8_t>(media_.begin(), media_.end()); }
 
   // Boots this (fresh) disk over a surviving platter image.
   Status RestoreImage(const std::vector<uint8_t>& image) {
     if (image.size() != media_.size()) {
       return Status::kErrInvalidArgs;
     }
-    media_ = image;
+    std::copy(image.begin(), image.end(), media_.begin());
     buffer_.clear();
     inflight_.clear();
     powered_off_ = false;
@@ -215,7 +223,8 @@ class Disk {
 
   Machine& machine_;
   uint32_t block_count_;
-  std::vector<uint8_t> media_;  // Durable platter contents.
+  Mapping mapping_;
+  std::span<uint8_t> media_;  // Durable platter contents, within mapping_.
   // Volatile write buffer: acknowledged but not yet durable, keyed by block
   // (std::map so power-cut torn draws are deterministic per seed).
   std::map<uint32_t, std::vector<uint8_t>> buffer_;

@@ -1,8 +1,5 @@
 #include "src/hw/fiber.h"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -96,22 +93,10 @@ Fiber::Fiber() {
   // sp_ is filled in by the first Switch() away from this fiber.
 }
 
-Fiber::Fiber(Entry entry, size_t stack_bytes) : entry_(std::move(entry)) {
-  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  stack_bytes_ = (stack_bytes + page - 1) / page * page;
-  mapping_bytes_ = stack_bytes_ + page;
-  mapping_ = mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  if (mapping_ == MAP_FAILED) {
-    std::perror("mmap");
-    std::abort();
-  }
-  if (mprotect(mapping_, page, PROT_NONE) != 0) {  // The guard page.
-    std::perror("mprotect");
-    std::abort();
-  }
-  char* lo = static_cast<char*>(mapping_) + page;
+Fiber::Fiber(Entry entry, size_t stack_bytes) : stack_(stack_bytes), entry_(std::move(entry)) {
+  uint8_t* lo = stack_.bytes().data();
   stack_lo_ = lo;
+  stack_bytes_ = stack_.bytes().size();
   // The first frame xok_fiber_switch pops. Its return leaves rsp at the
   // (page-aligned) top, so xok_fiber_entry's call enters Trampoline with
   // the ABI's 16-byte alignment.
@@ -128,15 +113,11 @@ Fiber::Fiber(Entry entry, size_t stack_bytes) : entry_(std::move(entry)) {
 }
 
 Fiber::~Fiber() {
-  if (mapping_ == nullptr) {
-    return;
-  }
 #if defined(__SANITIZE_ADDRESS__)
   // An abandoned fiber leaves its frames' redzones poisoned; a later mapping
-  // at the same address must not inherit them.
-  ASAN_UNPOISON_MEMORY_REGION(stack_lo_, stack_bytes_);
+  // at the same address must not inherit them. stack_ unmaps afterwards.
+  ASAN_UNPOISON_MEMORY_REGION(stack_.bytes().data(), stack_.bytes().size());
 #endif
-  munmap(mapping_, mapping_bytes_);
 }
 
 void Fiber::Switch(Fiber& from, Fiber& to) {

@@ -7,14 +7,16 @@
 //
 // A host switch saves only what the x86-64 System V ABI says a call
 // preserves: rbx, rbp, r12-r15, rsp, MXCSR and the x87 control word. There
-// is no signal mask and no system call. Stacks are mmap'd with a PROT_NONE
-// guard page below them, so untouched pages are never faulted in and an
-// overflow faults instead of corrupting the heap.
+// is no signal mask and no system call. Stacks are lazily backed,
+// guard-paged mappings (mapping.h), so untouched pages are never faulted in
+// and an overflow faults instead of corrupting the heap.
 #ifndef XOK_SRC_HW_FIBER_H_
 #define XOK_SRC_HW_FIBER_H_
 
 #include <cstddef>
 #include <functional>
+
+#include "src/hw/mapping.h"
 
 namespace xok::hw {
 
@@ -46,9 +48,8 @@ class Fiber {
  private:
   [[noreturn]] static void Trampoline(Fiber* self);
 
-  void* sp_ = nullptr;        // Saved stack pointer while switched out.
-  void* mapping_ = nullptr;   // Guard page + stack; null when wrapping.
-  size_t mapping_bytes_ = 0;
+  void* sp_ = nullptr;  // Saved stack pointer while switched out.
+  Mapping stack_;       // Empty when wrapping.
   // Usable stack bounds, for AddressSanitizer's fiber annotations. A
   // wrapping fiber learns them each time it is switched away from.
   const void* stack_lo_ = nullptr;

@@ -1,0 +1,45 @@
+// Lazily backed host memory for the simulated hardware: physical memory,
+// disk platters and fiber stacks. A Mapping is an anonymous private mapping
+// of whole host pages with a PROT_NONE guard page on each side. The kernel
+// hands out zero pages on first touch, so the host pays (in resident memory
+// and in time) only for pages the simulation actually writes, and an
+// access just past either end faults instead of landing in a neighbour.
+// Transparent huge pages are declined, so a touch costs one host page.
+#ifndef XOK_SRC_HW_MAPPING_H_
+#define XOK_SRC_HW_MAPPING_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
+namespace xok::hw {
+
+class Mapping {
+ public:
+  // An empty mapping: bytes() is empty and nothing is unmapped.
+  Mapping() = default;
+
+  // Maps `bytes` rounded up to whole host pages, all reading zero. Aborts
+  // the process if the host refuses the mapping.
+  explicit Mapping(size_t bytes);
+
+  ~Mapping();
+
+  Mapping(Mapping&& other) noexcept;
+  Mapping& operator=(Mapping&& other) noexcept;
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+
+  // The usable bytes, between the guard pages. Moving the Mapping does not
+  // move them, so a span taken here stays valid for the owner's lifetime.
+  std::span<uint8_t> bytes() const { return bytes_; }
+
+ private:
+  void* base_ = nullptr;  // Leading guard page; null when empty.
+  size_t mapped_bytes_ = 0;
+  std::span<uint8_t> bytes_;
+};
+
+}  // namespace xok::hw
+
+#endif  // XOK_SRC_HW_MAPPING_H_

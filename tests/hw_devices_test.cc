@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/hw/disk.h"
 #include "src/hw/framebuffer.h"
 #include "src/hw/machine.h"
+#include "src/hw/mapping.h"
 
 namespace xok::hw {
 namespace {
@@ -97,6 +103,48 @@ TEST_F(DeviceTest, DiskRejectsOutOfRange) {
 
 TEST_F(DeviceTest, DiskCompleteUnknownIdFails) {
   EXPECT_FALSE(disk_.Complete(12345).ok());
+}
+
+// --- Lazily backed platters ---
+
+// Host pages of `bytes` the host kernel reports resident. A page that was
+// only read counts too (it maps the shared zero page), so callers assert
+// only about pages nothing has accessed.
+size_t ResidentHostPages(std::span<uint8_t> bytes) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> residency((bytes.size() + page - 1) / page);
+  EXPECT_EQ(mincore(bytes.data(), bytes.size(), residency.data()), 0);
+  return static_cast<size_t>(
+      std::count_if(residency.begin(), residency.end(), [](unsigned char r) { return r & 1; }));
+}
+
+TEST_F(DeviceTest, NeverWrittenBlockOfAFreshDiskReadsZero) {
+  Disk fresh(machine_, 1024);
+  auto frame = machine_.mem().PageSpan(3);
+  std::fill(frame.begin(), frame.end(), uint8_t{0xa5});
+  Result<uint64_t> id = fresh.SubmitRead(1000, 3);
+  ASSERT_TRUE(id.ok());
+  machine_.WaitForInterrupt();
+  ASSERT_TRUE(fresh.Complete(*id).ok());
+  EXPECT_TRUE(std::all_of(frame.begin(), frame.end(), [](uint8_t b) { return b == 0; }));
+}
+
+TEST(MappingTest, DiskSizedMappingBacksOnlyWrittenPages) {
+  constexpr size_t kBytes = size_t{1024} * kPageBytes;
+  Mapping mapping(kBytes);
+  std::span<uint8_t> bytes = mapping.bytes();
+  ASSERT_EQ(bytes.size(), kBytes);
+  EXPECT_EQ(ResidentHostPages(bytes), 0u);
+
+  bytes[5 * kPageBytes + 17] = 0x5a;
+  EXPECT_EQ(ResidentHostPages(bytes), 1u);
+
+  // Moving the mapping hands over the same bytes, which stay mapped.
+  Mapping moved(std::move(mapping));
+  EXPECT_TRUE(mapping.bytes().empty());
+  EXPECT_EQ(moved.bytes().data(), bytes.data());
+  EXPECT_EQ(moved.bytes()[5 * kPageBytes + 17], 0x5a);
+  EXPECT_EQ(moved.bytes()[kBytes - 1], 0u);
 }
 
 // --- Volatile write buffer, barriers, power cuts ---

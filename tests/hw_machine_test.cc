@@ -1,7 +1,11 @@
 #include "src/hw/machine.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/hw/trap.h"
@@ -117,6 +121,49 @@ TEST_F(MachineTest, OutOfRangePhysicalIsBusError) {
   Result<uint32_t> bad = machine_.LoadWord(64u << kPageShift);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(kernel_.exceptions.back(), ExceptionType::kBusError);
+}
+
+// Host pages of `bytes` the host kernel reports resident. A page that was
+// only read counts too (it maps the shared zero page), so callers assert
+// only about pages nothing has accessed.
+size_t ResidentHostPages(std::span<uint8_t> bytes) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> residency((bytes.size() + page - 1) / page);
+  EXPECT_EQ(mincore(bytes.data(), bytes.size(), residency.data()), 0);
+  return static_cast<size_t>(
+      std::count_if(residency.begin(), residency.end(), [](unsigned char r) { return r & 1; }));
+}
+
+TEST(PhysMemTest, FreshMemoryIsUnbackedAndBacksOnlyWrittenPages) {
+  Machine machine(Machine::Config{.phys_pages = 4096, .name = "lazy"});
+  FakeKernel kernel(machine);
+  PhysMem& mem = machine.mem();
+  const std::span<uint8_t> frames = mem.RangeSpan(0, mem.page_count());
+  EXPECT_EQ(ResidentHostPages(frames), 0u);
+
+  // Identity-mapped store into frame 7: exactly that frame gets backed.
+  ASSERT_EQ(machine.StoreWord(7u << kPageShift, 0xfeedf00d), Status::kOk);
+  EXPECT_EQ(ResidentHostPages(frames), 1u);
+
+  EXPECT_EQ(mem.ReadWord(7u << kPageShift), 0xfeedf00du);
+  Result<uint32_t> untouched = machine.LoadWord(4095u << kPageShift);
+  ASSERT_TRUE(untouched.ok());
+  EXPECT_EQ(*untouched, 0u);
+  EXPECT_EQ(mem.ReadByte((100u << kPageShift) + 3), 0u);
+  EXPECT_EQ(mem.ReadWord(kPageBytes * 4095 + kPageBytes - 4), 0u);
+}
+
+TEST(PhysMemDeathTest, OverrunPastTheLastFrameFaults) {
+  // The byte after the last frame is a guard page, not another object: a
+  // host-side overrun faults in every build, sanitized or not.
+  EXPECT_DEATH(
+      {
+        PhysMem mem(64);
+        const std::span<uint8_t> frames = mem.RangeSpan(0, mem.page_count());
+        volatile uint8_t* past_end = frames.data() + frames.size();
+        *past_end = 1;
+      },
+      "");
 }
 
 TEST_F(MachineTest, AddOverflowTrapsOnlyOnOverflow) {
