@@ -948,6 +948,8 @@ void Aegis::InstallFaultPlan(const hw::FaultPlan& plan) {
       case hw::FaultKind::kPowerCut:
         priv_.ScheduleEvent(delay, hw::InterruptSource::kPowerFail, 0);
         break;
+      case hw::FaultKind::kDiskError:
+        break;  // The injector fails the disk's completion itself.
     }
   }
 }

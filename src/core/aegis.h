@@ -45,6 +45,7 @@
 #include "src/dpf/dpf.h"
 #include "src/hw/disk.h"
 #include "src/hw/fault.h"
+#include "src/hw/fiber.h"
 #include "src/hw/framebuffer.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"

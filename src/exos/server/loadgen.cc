@@ -36,6 +36,7 @@ enum class Kind : uint8_t { kGet, kPut, kMalformed, kOversized, kQuit };
 // probe's late duplicate reply is recognisable as one even by a later
 // RunLoadGen on the same port (whose data ids restart at 1).
 constexpr uint32_t kProbeIdBase = 0xfff00000u;
+constexpr uint64_t kWarmupProbeCycles = 1'000'000;  // Probe retransmit interval.
 
 struct Pending {
   Kind kind = Kind::kGet;
@@ -184,10 +185,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   const std::string hot_key = target.hot_key.empty() ? LoadKeyName(0) : target.hot_key;
 
   UdpSocket sock(proc, target.iface);
-  Status bound = Status::kErrInternal;
-  if (config.use_ring) {
-    bound = sock.BindRing(config.client_port, config.ring);
-  }
+  Status bound = sock.BindRing(config.client_port, config.ring);
   if (bound != Status::kOk) {
     bound = sock.Bind(config.client_port);
   }
@@ -390,7 +388,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
           (void)sock.Close();
           return stats;
         }
-        if (last_probe == 0 || now - last_probe >= config.warmup_probe_cycles) {
+        if (last_probe == 0 || now - last_probe >= kWarmupProbeCycles) {
           transmit(probe);
           flush();
           last_probe = now;
@@ -407,7 +405,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
         }
         if (!ready) {
           repair();
-          (void)sock.WaitOrSleep(std::min(last_probe + config.warmup_probe_cycles, run_deadline));
+          (void)sock.WaitOrSleep(std::min(last_probe + kWarmupProbeCycles, run_deadline));
         }
       }
     }
@@ -464,11 +462,6 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
           queued = false;
           if (config.burst_gap_cycles > 0) {
             proc.kernel().SysSleep(config.burst_gap_cycles);
-          }
-          if (config.slow_per_mille > 0 && rng.Below(1000) < config.slow_per_mille) {
-            // Slow client: stop collecting replies for a while; the server
-            // keeps queueing into our ring (or the kernel queue) meanwhile.
-            proc.kernel().SysSleep(config.slow_stall_cycles);
           }
         }
       }

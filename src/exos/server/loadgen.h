@@ -1,6 +1,6 @@
 // Seeded load generator for the HTTP/KV server: a client environment that
 // replays a deterministic request stream (zipf-skewed keys, PUT/GET mix,
-// bursts, slow-client stalls, malformed frames, oversized keys) against a
+// bursts, malformed frames, oversized keys) against a
 // server on the same simulated machine (NIC internal loopback), measuring
 // the *whole software path* — client build, demux, worker, store, reply —
 // in simulated cycles.
@@ -60,8 +60,6 @@ struct WorkloadConfig {
   uint32_t window = 4;               // Closed-loop in-flight cap.
   uint32_t burst = 16;               // Requests between idle gaps.
   uint64_t burst_gap_cycles = 0;
-  uint32_t slow_per_mille = 0;       // Chance of a stall at a burst boundary.
-  uint64_t slow_stall_cycles = 50'000;
   uint64_t retry_timeout_cycles = 100'000;
   uint32_t max_retries = 60;
   // --- Client robustness under overload ---
@@ -98,15 +96,13 @@ struct WorkloadConfig {
   // clock — and its retry budget — against a booting server measures the
   // boot, not the service.
   bool warmup = true;
-  uint64_t warmup_probe_cycles = 1'000'000;  // Probe retransmit interval.
   // Poll a RevocationClient before each wait: under a resource-pressure
   // storm (the chaos arm) the client's own filter, ring, or pages can be
   // revoked, and a measurement client that silently goes deaf would
   // report server failures that are really its own.
   bool repair = false;
   uint64_t deadline_cycles = 2'000'000'000;  // Whole-run fail-safe.
-  bool use_ring = true;
-  RingConfig ring;
+  RingConfig ring;  // Falls back to the kernel queue if no ring binds.
   uint16_t client_port = 7999;
   bool quit_when_done = true;  // One QUIT per shard after the data phase.
   // Bind the (global, one-per-kernel) trace ring and harvest kDpfMatch

@@ -362,8 +362,7 @@ uint64_t FnvMix(uint64_t h, uint64_t v) {
 // remounts every worker extent: journal replay + Fsck is the recovery
 // contract (PR 3 semantics — only barrier-ordered platter contents
 // survive a power cut; the volatile write buffer is gone).
-void VerifyRecovery(const std::vector<uint8_t>& image, uint32_t workers,
-                    uint32_t disk_blocks, RackResult* out) {
+void VerifyRecovery(const std::vector<uint8_t>& image, uint32_t workers, RackResult* out) {
   struct Verify {
     uint32_t mounted = 0;
     uint32_t fsck_clean = 0;
@@ -381,7 +380,7 @@ void VerifyRecovery(const std::vector<uint8_t>& image, uint32_t workers,
   Process proc(kernel, [&](Process& p) {
     for (uint32_t w = 0; w < workers; ++w) {
       Result<aegis::Aegis::DiskExtentGrant> extent =
-          p.kernel().SysAllocDiskExtent(disk_blocks);
+          p.kernel().SysAllocDiskExtent(kWorkerDiskBlocks);
       if (!extent.ok()) {
         v.error = "extent alloc failed";
         return;
@@ -552,8 +551,7 @@ RackResult RunRack(const RackConfig& config) {
       result.recovery_cycles = state.first_resteer_ack - config.power_cut_cycle;
     }
     if (config.verify_recovery && result.cut_fired) {
-      VerifyRecovery(disks[static_cast<uint32_t>(victim)]->TakeImage(), workers,
-                     KvServerConfig{}.disk_blocks, &result);
+      VerifyRecovery(disks[static_cast<uint32_t>(victim)]->TakeImage(), workers, &result);
     }
   }
 

@@ -12,6 +12,18 @@ namespace xok::exos::server {
 
 using hw::Instr;
 
+namespace {
+
+constexpr uint32_t kWorkerSlices = 1;          // Kernel slice slots per worker env.
+constexpr uint32_t kWorkerStrideTickets = 100;  // Per worker, when stride is on.
+// Read-only degraded mode: once a persistent journal-disk error (kErrIo
+// after BlockCache's bounded retries) flips a worker to read-only, it
+// re-probes the disk with a Sync at this cadence and resumes journaling
+// when one succeeds.
+constexpr uint64_t kDegradedProbeCycles = 150'000;
+
+}  // namespace
+
 dpf::Atom KvServer::ShardAtom(uint32_t shard, uint32_t workers) {
   return dpf::Atom{.offset = net::kUdpPayloadOff,
                    .width = 1,
@@ -36,7 +48,7 @@ KvServer::KvServer(aegis::Aegis& kernel, KvServerConfig config)
     stride_ = std::make_unique<SmpStrideScheduler>(kernel_);
     for (uint32_t i = 0; i < n; ++i) {
       workers_[i]->stride_slot =
-          stride_->AddClient(aegis::kNoEnv, config_.stride_tickets, i % cpus);
+          stride_->AddClient(aegis::kNoEnv, kWorkerStrideTickets, i % cpus);
     }
     if (!stride_->Start(config_.stride_slices_per_cpu)) {
       stride_.reset();
@@ -48,7 +60,7 @@ KvServer::KvServer(aegis::Aegis& kernel, KvServerConfig config)
     ChildSpec spec;
     spec.name = "kv" + std::to_string(i);
     spec.body = [this, i](Process& p) { WorkerMain(p, i); };
-    spec.options.slices = config_.worker_slices;
+    spec.options.slices = kWorkerSlices;
     spec.options.cpu_mask = 1ULL << (i % cpus);
     spec.policy = RestartPolicy::kOnFailure;
     spec.on_state_change = [this, i](ChildState s) { OnChildState(i, s); };
@@ -241,7 +253,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
   // values); the client's end-to-end check treats any acked version as
   // valid, so data loss across a crash is visible but never corrupt.
   Result<aegis::Aegis::DiskExtentGrant> extent =
-      proc.kernel().SysAllocDiskExtent(config_.disk_blocks);
+      proc.kernel().SysAllocDiskExtent(kWorkerDiskBlocks);
   if (!extent.ok()) {
     return fail();
   }
@@ -280,7 +292,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
   RevocationClient::Options rc_options;
   rc_options.fs = fs->get();
   rc_options.socket = &sock;
-  rc_options.desired_slices = config_.worker_slices;
+  rc_options.desired_slices = kWorkerSlices;
   RevocationClient rc(proc, rc_options);
 
   bool quit = false;
@@ -307,7 +319,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
     }
     degraded = true;
     ++ws.stats.degraded_entries;
-    next_probe = proc.machine().clock().now() + config_.degraded_probe_cycles;
+    next_probe = proc.machine().clock().now() + kDegradedProbeCycles;
   };
   auto probe_degraded = [&] {
     if (!degraded) {
@@ -324,12 +336,15 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
       puts_since_sync = 0;
       store_err_streak = 0;
     } else {
-      next_probe = proc.machine().clock().now() + config_.degraded_probe_cycles;
+      next_probe = proc.machine().clock().now() + kDegradedProbeCycles;
     }
   };
 
-  // Fail-fast rescue of a down sibling's shard, and the 503 builder both
-  // it and the admission paths use.
+  // Fail-fast rescue of a down sibling's shard: while a shard's worker is
+  // down (crash-looping in backoff, or failed for good) a live sibling
+  // binds a shallower catch-all filter and answers that shard's traffic
+  // 503 + Retry-After instead of letting it time out in the
+  // demultiplexer. The 503 builder also serves the admission paths.
   UdpSocket rescue_sock(proc, config_.iface);
   if (config_.trace_requests) {
     rescue_sock.set_trace_tag_off(net::kUdpPayloadOff + 1);
@@ -349,9 +364,6 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
     }
   };
   auto rescue_poll = [&] {
-    if (!config_.fail_fast_resteer) {
-      return;
-    }
     if (!rescuing && !quit && steer_.orphans > 0 && !steer_.rescue_claimed) {
       // Cooperative fibers: no window between the check and the claim.
       // The catch-all is one atom *shallower* than every worker's shard

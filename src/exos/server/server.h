@@ -38,6 +38,9 @@
 
 namespace xok::exos::server {
 
+// Blocks in each worker's private disk extent.
+inline constexpr uint32_t kWorkerDiskBlocks = 48;
+
 struct KvServerConfig {
   NetIface iface;              // The server's interface (loopback-capable).
   uint16_t port = 7080;
@@ -61,11 +64,10 @@ struct KvServerConfig {
   uint16_t ash_peer_port = 0;
 
   // Storage policy (per worker): journal size (0 = write-back ablation),
-  // block-cache slots, in-library value-cache entries, extent size.
+  // block-cache slots, in-library value-cache entries.
   uint32_t journal_blocks = LibFs::kDefaultJournalBlocks;
   size_t fs_cache_slots = 8;
   size_t kv_cache_entries = 32;
-  uint32_t disk_blocks = 48;
   uint32_t sync_every_puts = 8;  // Durability point cadence.
 
   // Keys written into every worker's store before it starts serving
@@ -92,23 +94,11 @@ struct KvServerConfig {
   // work for corpses — the overload-bench baseline showing why goodput
   // collapses without it.
   bool honor_ttl = true;
-  // Read-only degraded mode: once a persistent journal-disk error (kErrIo
-  // after BlockCache's bounded retries) flips a worker to read-only, it
-  // re-probes the disk with a Sync at this cadence and resumes journaling
-  // when one succeeds.
-  uint64_t degraded_probe_cycles = 150'000;
-  // Fail-fast re-steer: while a shard's worker is down (crash-looping in
-  // backoff, or failed for good) a live sibling binds a shallower
-  // catch-all filter and answers that shard's traffic 503 + Retry-After
-  // instead of letting it time out in the demultiplexer.
-  bool fail_fast_resteer = true;
 
   // Supervision / scheduling.
   uint32_t max_restarts = 4;
   uint64_t restart_backoff = 50'000;
   uint64_t restart_backoff_cap = 800'000;  // Exponential doubling ceiling.
-  uint32_t worker_slices = 1;        // Kernel slice slots per worker env.
-  uint32_t stride_tickets = 100;     // Per worker, when stride is on.
   uint32_t stride_slices_per_cpu = 0;  // 0: no stride scheduler envs.
 };
 

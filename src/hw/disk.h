@@ -108,7 +108,7 @@ class Disk {
     if (InErrorWindow()) {
       return Completion{req.block, req.kind == Kind::kWrite, /*failed=*/true};
     }
-    if (fault_injector_ != nullptr && fault_injector_->NextDiskError()) {
+    if (fault_injector_ != nullptr && fault_injector_->NextDiskError(machine_.clock().now())) {
       return Completion{req.block, req.kind == Kind::kWrite, /*failed=*/true};
     }
     // The DMA happens "during" the latency window; apply it at completion.

@@ -1,5 +1,8 @@
 #include "src/hw/fault.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace xok::hw {
 
 namespace {
@@ -15,13 +18,20 @@ FaultInjector::FaultInjector(const FaultPlan& plan)
       disk_rng_(plan.seed ^ kDiskSalt),
       torn_rng_(plan.seed ^ kTornSalt),
       drop_rng_(plan.seed ^ kDropSalt),
-      corrupt_rng_(plan.seed ^ kCorruptSalt) {}
-
-bool FaultInjector::NextDiskError() {
-  if (plan_.disk_error_per_mille == 0) {
-    return false;
+      corrupt_rng_(plan.seed ^ kCorruptSalt) {
+  for (const FaultEvent& event : plan.events) {
+    if (event.kind == FaultKind::kDiskError) {
+      disk_errors_due_.push_back(event.at_cycle);
+    }
   }
-  if (disk_rng_.NextBelow(1000) >= plan_.disk_error_per_mille) {
+  std::ranges::sort(disk_errors_due_, std::greater<>());
+}
+
+bool FaultInjector::NextDiskError(uint64_t now) {
+  if (!disk_errors_due_.empty() && disk_errors_due_.back() <= now) {
+    disk_errors_due_.pop_back();
+  } else if (plan_.disk_error_per_mille == 0 ||
+             disk_rng_.NextBelow(1000) >= plan_.disk_error_per_mille) {
     return false;
   }
   ++disk_errors_injected_;

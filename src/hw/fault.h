@@ -13,7 +13,9 @@
 //     machine's ordinary event queue: spurious interrupts with bogus
 //     payloads, and asynchronous environment kills (delivered to the kernel
 //     as InterruptSource::kFault at the next cycle-charge boundary, i.e. at
-//     an arbitrary point in kernel or application execution).
+//     an arbitrary point in kernel or application execution);
+//   * one-shot disk errors: the first transfer completing at or after the
+//     scheduled cycle fails, without a draw from the disk channel's stream.
 //
 // The same FaultInjector object is shared by the devices it arms (disk,
 // wire) so a single seed reproduces an entire chaotic run exactly.
@@ -33,6 +35,7 @@ enum class FaultKind : uint8_t {
   kKillEnv,      // arg0 = environment id: forcibly terminate it.
   kSpuriousIrq,  // arg0 = InterruptSource, arg1 = payload: bogus interrupt.
   kPowerCut,     // Power loss: the machine halts; volatile disk state dies.
+  kDiskError,    // The first disk transfer completing at or after at_cycle fails.
 };
 
 struct FaultEvent {
@@ -65,6 +68,10 @@ struct FaultPlan {
     events.push_back(FaultEvent{cycle, FaultKind::kPowerCut, 0, 0});
     return *this;
   }
+  FaultPlan& DiskErrorAt(uint64_t cycle) {
+    events.push_back(FaultEvent{cycle, FaultKind::kDiskError, 0, 0});
+    return *this;
+  }
 };
 
 class FaultInjector {
@@ -74,8 +81,9 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
   // Stochastic draws. Each channel has its own deterministic stream, so
-  // enabling one channel does not perturb another's schedule.
-  bool NextDiskError();
+  // enabling one channel does not perturb another's schedule. A disk
+  // transfer completing at `now` first takes a due one-shot error.
+  bool NextDiskError(uint64_t now);
   bool NextWireDrop();
   // Flips one byte of `frame` in place; returns whether it fired.
   bool MaybeCorruptFrame(std::span<uint8_t> frame);
@@ -92,6 +100,7 @@ class FaultInjector {
 
  private:
   FaultPlan plan_;
+  std::vector<uint64_t> disk_errors_due_;  // Pending one-shots, latest first.
   SplitMix64 disk_rng_;
   SplitMix64 torn_rng_;
   SplitMix64 drop_rng_;

@@ -1,6 +1,7 @@
 // Cooperative execution contexts ("fibers"). Each simulated processor
-// environment, each Ultrix process, and each machine in a multi-machine
-// world runs on its own fiber; kernels switch between them deterministically.
+// environment, each Ultrix process, and each CPU that hw::World schedules
+// (a machine body is its machine's CPU 0) runs on its own fiber; kernels
+// and the World switch between them deterministically.
 // This stands in for real hardware context switching — the *cost* of a
 // switch is charged separately by the kernels, per register actually
 // saved/restored in their model.

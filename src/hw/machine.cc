@@ -57,8 +57,6 @@ void PrivPort::ClearSliceDeadline() {
   cpu.slice_armed_ = false;
 }
 
-uint64_t PrivPort::slice_deadline() const { return machine_.active_->slice_deadline_; }
-
 bool PrivPort::slice_armed() const { return machine_.active_->slice_armed_; }
 
 void PrivPort::SetCoprocEnabled(bool enabled) {
@@ -103,8 +101,6 @@ void PrivPort::SendIpi(uint32_t cpu, uint64_t payload) {
 }
 
 uint32_t PrivPort::cpu_count() const { return machine_.cpu_count(); }
-
-uint32_t PrivPort::current_cpu() const { return machine_.current_cpu(); }
 
 int PrivPort::SwapTrapDepth(int depth) {
   const int old = machine_.active_->trap_depth_;
@@ -426,23 +422,8 @@ void Machine::RunCpus(std::vector<std::function<void()>> bodies) {
     std::abort();
   }
   smp_running_ = true;
-  for (size_t i = 0; i < cpus_.size(); ++i) {
-    Cpu* cpu = cpus_[i].get();
-    std::function<void()> body = std::move(bodies[i]);
-    cpu->fiber_ = std::make_unique<Fiber>([this, body = std::move(body)] {
-      body();
-      world_->FinishCurrent();  // Parks this fiber forever.
-    });
-  }
-  // The world schedules the CPU fibers alongside every other machine's;
-  // this body (the world context that was executing as CPU 0) blocks until
-  // all of them have returned.
-  world_->RunCpusBlock(this);
+  world_->RunCpus(this, std::move(bodies));
   smp_running_ = false;
-  for (const std::unique_ptr<Cpu>& cpu : cpus_) {
-    cpu->fiber_.reset();
-  }
-  active_ = cpus_[0].get();
 }
 
 }  // namespace xok::hw

@@ -12,12 +12,13 @@
 // SMP model: Config::cpus > 1 gives the machine several processors that
 // share physical memory and devices but each own a TLB, ASID, slice timer,
 // interrupt state, event queue, and — crucially — a local cycle clock.
-// RunCpus runs one kernel loop per CPU on its own fiber.
+// RunCpus runs one kernel loop per CPU, each as its own World context.
 //
-// Scheduling: there is one interleaver, hw::World. The schedulable context
-// (any CPU of any attached machine) with the globally lowest local clock
-// executes next, ties broken by (machine_index, cpu_index), so runs are
-// deterministic. A machine constructed without a World runs RunCpus as the
+// Scheduling: there is one interleaver, hw::World, and each of its contexts
+// is one CPU. The context (any CPU of any attached machine) with the
+// globally lowest local clock executes next, ties broken by
+// (machine_index, cpu_index), so runs are deterministic. The machine body
+// runs as CPU 0. A machine constructed without a World runs RunCpus as the
 // only machine of a private one-machine World.
 #ifndef XOK_SRC_HW_MACHINE_H_
 #define XOK_SRC_HW_MACHINE_H_
@@ -32,7 +33,6 @@
 #include "src/hw/clock.h"
 #include "src/hw/cost.h"
 #include "src/hw/event.h"
-#include "src/hw/fiber.h"
 #include "src/hw/phys_mem.h"
 #include "src/hw/tlb.h"
 #include "src/hw/trap.h"
@@ -74,7 +74,6 @@ class PrivPort {
   void SetSliceDeadline(uint64_t absolute_cycle);
   // Disarms the slice timer.
   void ClearSliceDeadline();
-  uint64_t slice_deadline() const;
   bool slice_armed() const;
 
   // Coprocessor (FPU) enable bit; when clear, CoprocOp() raises
@@ -103,7 +102,6 @@ class PrivPort {
 
   // CPU topology, as a real kernel would read from PRId/config registers.
   uint32_t cpu_count() const;
-  uint32_t current_cpu() const;
 
   // Swaps the trap-nesting depth, returning the old value. Kernels that
   // switch execution contexts from inside a trap handler (e.g. ending a
@@ -169,12 +167,7 @@ class Cpu {
   std::priority_queue<PendingEvent, std::vector<PendingEvent>, std::greater<>> events_;
   uint64_t event_seq_ = 0;
 
-  // Interleaving (meaningful only while Machine::RunCpus is active).
-  // `fiber_` doubles as the entry fiber and the continuation slot: a switch
-  // away saves whatever this CPU was executing — kernel loop or environment
-  // fiber — and a switch back resumes it exactly there.
-  std::unique_ptr<Fiber> fiber_;
-  bool parked_ = false;  // In WaitForInterrupt, waiting on the World.
+  bool parked_ = false;  // In WaitForInterrupt inside RunCpus, waiting on the World.
 };
 
 class Machine {
@@ -246,18 +239,15 @@ class Machine {
   // local event (aborts if there is none — that would be a hang).
   void WaitForInterrupt();
 
-  // Runs one body per CPU on its own fiber, interleaved at charge
-  // boundaries so that the CPU with the lowest local cycle count executes
-  // first. Each CPU fiber is a World context: attached to a World, the CPUs
-  // are scheduled alongside every other machine's and the calling machine
-  // body blocks until all CPU bodies return; standalone, RunCpus runs the
-  // machine as the only member of a private World and aborts if the CPUs
-  // all park with no pending events (a hang). Requires exactly cpu_count()
-  // bodies.
+  // Runs one body per CPU, interleaved at charge boundaries so that the CPU
+  // with the lowest local cycle count executes first. `bodies[0]` runs
+  // inline on the calling machine body, which is CPU 0; every other CPU
+  // runs on a World context of its own, scheduled alongside every other
+  // machine's, and RunCpus returns once all bodies have. Standalone,
+  // RunCpus runs the machine as the only member of a private World and
+  // aborts if the CPUs all park with no pending events (a hang). Requires
+  // exactly cpu_count() bodies.
   void RunCpus(std::vector<std::function<void()>> bodies);
-
-  // True while executing the kernel's OnException/OnInterrupt.
-  bool in_trap() const { return active_->trap_depth_ > 0; }
 
   // Deterministic per-machine id assigned by the world (0 standalone).
   uint32_t world_index() const { return world_index_; }
@@ -278,9 +268,6 @@ class Machine {
 
   // Device events are wired to CPU 0, as on most real boards.
   void PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload);
-
-  // World-side accessor for CPU fibers.
-  Fiber* CpuFiber(uint32_t index) { return cpus_[index]->fiber_.get(); }
 
   Config config_;
   PhysMem mem_;

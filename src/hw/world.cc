@@ -1,7 +1,9 @@
 #include "src/hw/world.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "src/hw/machine.h"
 
@@ -23,23 +25,7 @@ void World::Run(std::vector<std::function<void()>> bodies) {
   }
   ctxs_.clear();
   for (size_t i = 0; i < machines_.size(); ++i) {
-    auto ctx = std::make_unique<Ctx>();
-    ctx->machine = machines_[i];
-    ctx->cpu = &machines_[i]->cpu(0);
-    ctx->body = true;
-    ctx->state = CtxState::kReady;
-    Ctx* raw = ctx.get();
-    auto body = std::move(bodies[i]);
-    ctx->owned = std::make_unique<Fiber>([this, raw, body = std::move(body)]() {
-      body();
-      raw->state = CtxState::kDone;
-      ++progress_epoch_;
-      for (;;) {
-        Fiber::Switch(*raw->fiber, world_fiber_);
-      }
-    });
-    ctx->fiber = ctx->owned.get();
-    ctxs_.push_back(std::move(ctx));
+    AddCtx(machines_[i], 0, std::move(bodies[i]));
   }
   scheduling_ = true;
   Schedule();
@@ -59,10 +45,6 @@ void World::Schedule() {
   // longstanding single-CPU world contract).
   bool swept = false;
   for (;;) {
-    if (group_finished_) {
-      group_finished_ = false;
-      RetireFinishedGroups();
-    }
     // One pass picks the next context and, by keeping the two smallest
     // ready clocks and the two earliest parked dues, the ShouldYield
     // thresholds over every context but the one picked.
@@ -118,15 +100,20 @@ void World::Schedule() {
     }
     swept = true;
     const uint64_t epoch = progress_epoch_;
+    // Only CPUs inside RunCpus: their kernel loops re-check run conditions
+    // on spurious wakes. Plain bodies inside WaitForInterrupt would just
+    // re-park without being able to make progress. A CPU 0 leaving RunCpus
+    // erases its siblings' contexts, so walk a snapshot.
+    std::vector<Ctx*> sweep;
     for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
-      // Only RunCpus contexts: their kernel loops re-check run conditions on
-      // spurious wakes. Plain bodies inside WaitForInterrupt would just
-      // re-park without being able to make progress.
-      if (ctx->state == CtxState::kParked && !ctx->body) {
-        ctx->state = CtxState::kRunning;  // Not a threshold for itself.
-        RecomputeCaches();
-        ResumeCtx(ctx.get());
+      if (ctx->state == CtxState::kParked && ctx->machine->smp_running_) {
+        sweep.push_back(ctx.get());
       }
+    }
+    for (Ctx* ctx : sweep) {
+      ctx->state = CtxState::kRunning;  // Not a threshold for itself.
+      RecomputeCaches();
+      ResumeCtx(ctx);
     }
     if (progress_epoch_ != epoch) {
       swept = false;
@@ -156,69 +143,66 @@ void World::ParkCurrent() {
   }
   Ctx* ctx = running_;
   ctx->state = CtxState::kParked;
-  ctx->cpu->parked_ = !ctx->body;  // CpuParked reports RunCpus CPUs only.
+  ctx->cpu->parked_ = ctx->machine->smp_running_;  // CpuParked reports RunCpus CPUs only.
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 
-void World::FinishCurrent() {
-  Ctx* ctx = running_;
-  ctx->state = CtxState::kDone;
-  ++progress_epoch_;
-  group_finished_ = true;
-  for (;;) {
-    Fiber::Switch(*ctx->fiber, world_fiber_);
-  }
+void World::AddCtx(Machine* machine, uint32_t cpu, std::function<void()> body) {
+  auto owned = std::make_unique<Ctx>();
+  Ctx* ctx = owned.get();
+  ctx->machine = machine;
+  ctx->cpu = &machine->cpu(cpu);
+  ctx->fiber = std::make_unique<Fiber>([this, ctx, body = std::move(body)] {
+    body();
+    ctx->state = CtxState::kDone;
+    ++progress_epoch_;
+    if (SiblingsDone(ctx->machine)) {
+      // The last sibling to return readies the CPU-0 context joining them.
+      for (const std::unique_ptr<Ctx>& other : ctxs_) {
+        if (other->machine == ctx->machine && other->state == CtxState::kJoining) {
+          other->state = CtxState::kReady;
+        }
+      }
+    }
+    for (;;) {
+      Fiber::Switch(*ctx->fiber, world_fiber_);
+    }
+  });
+  const auto key = [](const Ctx& c) {
+    return std::pair(c.machine->world_index(), c.cpu->index());
+  };
+  auto at = std::ranges::find_if(
+      ctxs_, [&](const std::unique_ptr<Ctx>& c) { return key(*c) > key(*ctx); });
+  ctxs_.insert(at, std::move(owned));
 }
 
-void World::RunCpusBlock(Machine* machine) {
-  if (!scheduling_ || running_ == nullptr || running_->machine != machine ||
-      !running_->body) {
+bool World::SiblingsDone(const Machine* machine) const {
+  return std::ranges::none_of(ctxs_, [machine](const std::unique_ptr<Ctx>& c) {
+    return c->machine == machine && c->cpu->index() != 0 && c->state != CtxState::kDone;
+  });
+}
+
+void World::RunCpus(Machine* machine, std::vector<std::function<void()>> bodies) {
+  if (!scheduling_ || running_ == nullptr || running_->machine != machine) {
     std::fprintf(stderr, "xok: machine %s: RunCpus on a world machine outside its body\n",
                  machine->name());
     std::abort();
   }
-  Ctx* body = running_;
-  for (uint32_t i = 0; i < machine->cpu_count(); ++i) {
-    auto ctx = std::make_unique<Ctx>();
-    ctx->machine = machine;
-    ctx->cpu = &machine->cpu(i);
-    ctx->body = false;
-    ctx->fiber = machine->CpuFiber(i);
-    ctx->state = CtxState::kReady;
-    ctxs_.push_back(std::move(ctx));
+  Ctx* self = running_;
+  for (uint32_t i = 1; i < bodies.size(); ++i) {
+    AddCtx(machine, i, std::move(bodies[i]));
   }
   ++progress_epoch_;
-  body->state = CtxState::kBlocked;
-  Fiber::Switch(*body->fiber, world_fiber_);
-  // Resumed: every CPU body has returned and the contexts are retired.
-}
-
-void World::RetireFinishedGroups() {
-  for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
-    if (!ctx->body || ctx->state != CtxState::kBlocked) {
-      continue;
-    }
-    bool all_done = true;
-    for (const std::unique_ptr<Ctx>& other : ctxs_) {
-      if (!other->body && other->machine == ctx->machine &&
-          other->state != CtxState::kDone) {
-        all_done = false;
-        break;
-      }
-    }
-    if (!all_done) {
-      continue;
-    }
-    Machine* machine = ctx->machine;
-    std::erase_if(ctxs_, [machine](const std::unique_ptr<Ctx>& c) {
-      return !c->body && c->machine == machine;
-    });
-    // `ctx` stays valid: erase_if only removed non-body contexts.
-    ctx->state = CtxState::kReady;
-    ++progress_epoch_;
-    RetireFinishedGroups();  // Restart: iterators were invalidated.
-    return;
+  RecomputeCaches();  // So CPU 0 yields to the new CPUs by local clock.
+  bodies[0]();
+  while (!SiblingsDone(machine)) {
+    self->state = CtxState::kJoining;
+    Fiber::Switch(*self->fiber, world_fiber_);
   }
+  std::erase_if(ctxs_, [machine](const std::unique_ptr<Ctx>& c) {
+    return c->machine == machine && c->cpu->index() != 0;
+  });
+  ++progress_epoch_;
 }
 
 void World::NoteEventPosted(const Cpu* cpu, uint64_t due) {

@@ -8,11 +8,13 @@
 // delivery order is globally consistent with simulated time (with skew
 // bounded by the distance between cycle-charge points).
 //
-// This is the simulator's only interleaver. Machine::RunCpus registers each
-// CPU fiber as a world context and blocks the machine body until every CPU
-// body returns; a machine built without a World runs RunCpus as the only
-// member of a private one, so standalone SMP machines, uniprocessors and
-// racks all follow the same algorithm.
+// This is the simulator's only interleaver, and every context it schedules
+// is exactly one CPU. Run starts each machine's body as a context on CPU 0,
+// so the body is CPU 0 until it enters RunCpus; RunCpus adds a context for
+// each further CPU, runs CPU 0's body inline and waits for its siblings to
+// return. A machine built without a World runs RunCpus as the only member
+// of a private one, so standalone SMP machines, uniprocessors and racks all
+// follow the same algorithm.
 #ifndef XOK_SRC_HW_WORLD_H_
 #define XOK_SRC_HW_WORLD_H_
 
@@ -37,20 +39,20 @@ class World {
   World& operator=(const World&) = delete;
 
   // Runs `body` for each previously-attached machine (in attach order) on
-  // its own fiber — the machine body executes as CPU 0 until it enters
-  // RunCpus — interleaving all CPUs by local clock until every body returns
-  // or the world quiesces (all contexts parked with no pending events).
-  // `bodies[i]` is the kernel main loop for machine i.
+  // its own fiber as CPU 0 of that machine, interleaving all CPUs by local
+  // clock until every body returns or the world quiesces (all contexts
+  // parked with no pending events). `bodies[i]` is the kernel main loop for
+  // machine i.
   void Run(std::vector<std::function<void()>> bodies);
 
   // --- Used by Machine (not by kernels or applications) ---
 
   void Attach(Machine* machine);
 
-  // Called from Machine::RunCpus on an attached machine: registers each
-  // CPU's fiber as a schedulable context and blocks the calling machine
-  // body until every CPU body has returned.
-  void RunCpusBlock(Machine* machine);
+  // Called from Machine::RunCpus on an attached machine, on its CPU-0
+  // context: adds a context for each of CPUs 1..n-1, runs `bodies[0]`
+  // inline, then waits, never scheduled, until every sibling has returned.
+  void RunCpus(Machine* machine, std::vector<std::function<void()>> bodies);
 
   // True if the currently-running context should hand control back: some
   // parked context's event is due at or before `now`, or a ready context's
@@ -62,28 +64,25 @@ class World {
   // Saves the running context and re-enters the scheduler.
   void YieldCurrent();  // Stays ready: resumed by clock order.
   void ParkCurrent();   // Sleeps: resumed by a due event (or spuriously —
-                        //   only RunCpus contexts tolerate spurious wakes).
+                        //   only CPUs inside RunCpus tolerate spurious wakes).
 
   // An event due at `due` was queued on `cpu`: lower the due-event cache if
   // that CPU's context is parked, so a running context's next charge can
   // notice it.
   void NoteEventPosted(const Cpu* cpu, uint64_t due);
 
-  // Called from a finished RunCpus CPU fiber: marks the running context
-  // done and parks its fiber forever.
-  [[noreturn]] void FinishCurrent();
-
  private:
-  enum class CtxState : uint8_t { kReady, kRunning, kParked, kBlocked, kDone };
+  // kJoining: CPU 0 inside RunCpus, waiting for its siblings to return.
+  enum class CtxState : uint8_t { kReady, kRunning, kParked, kJoining, kDone };
 
-  // One schedulable execution context: a machine body (which is CPU 0 of
-  // its machine outside RunCpus) or one CPU of a machine inside RunCpus.
+  // One schedulable execution context: one CPU of an attached machine.
+  // `fiber` doubles as the entry fiber and the continuation slot: a switch
+  // away saves whatever the CPU was executing (kernel loop or environment
+  // fiber), and a switch back resumes it exactly there.
   struct Ctx {
     Machine* machine = nullptr;
-    Cpu* cpu = nullptr;    // The CPU whose clock and events this context runs on.
-    bool body = false;     // Machine body (owns its fiber) vs RunCpus CPU.
-    Fiber* fiber = nullptr;
-    std::unique_ptr<Fiber> owned;
+    Cpu* cpu = nullptr;
+    std::unique_ptr<Fiber> fiber;
     CtxState state = CtxState::kReady;
   };
 
@@ -92,8 +91,11 @@ class World {
   // Runs `ctx` until it switches back; the caller has already set the
   // ShouldYield caches over every other context.
   void ResumeCtx(Ctx* ctx);
-  // Unblocks machine bodies whose RunCpus contexts have all finished.
-  void RetireFinishedGroups();
+  // Adds a ready context running `body` on `machine`'s CPU `cpu`, at its
+  // (world_index, cpu index) place in scan order.
+  void AddCtx(Machine* machine, uint32_t cpu, std::function<void()> body);
+  // True once every CPU of `machine` but CPU 0 has returned.
+  bool SiblingsDone(const Machine* machine) const;
   // Sets the caches by a full scan of the contexts not running.
   void RecomputeCaches();
 
@@ -111,11 +113,8 @@ class World {
   // move another context's next due cycle (and only earlier).
   uint64_t parked_min_due_ = kNever;
   uint64_t ready_min_clock_ = kNever;
-  // Set when a RunCpus context finishes, so the scheduler looks for a
-  // machine body to unblock only then.
-  bool group_finished_ = false;
   // Bumped on anything that could let a quiescence sweep make progress
-  // (events posted, contexts finishing, RunCpus groups starting/retiring).
+  // (events posted, contexts finishing, RunCpus groups starting/joining).
   uint64_t progress_epoch_ = 0;
 };
 

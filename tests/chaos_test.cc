@@ -260,6 +260,11 @@ TEST_P(ChaosSoak, KilledEnvironmentsNeverCorruptTheSurvivors) {
   plan.disk_error_per_mille = 150;
   plan.wire_drop_per_mille = 40;
   plan.wire_corrupt_per_mille = 40;
+  // One scheduled disk error, so the disk channel fires on every seed even
+  // when the 150 per-mille draws all miss. It lands mid-Format on the fs
+  // worker (a transfer completes every ~255k cycles; Format ends after
+  // ~3.6M, later than some seeds' kill), where BlockCache retries it.
+  plan.DiskErrorAt(2'000'000);
   plan.KillEnvAt(1'800'000, pipe_writer.id());
   plan.KillEnvAt(2'500'000 + 10'000 * seed, vm_worker.id());
   plan.KillEnvAt(3'500'000 + 20'000 * seed, fs_worker.id());

@@ -240,6 +240,26 @@ TEST_F(DiskDurabilityTest, PowerCutTornWriteLandsPrefixOfNewWords) {
   }
 }
 
+TEST(FaultInjectorTest, ScheduledDiskErrorFiresOnceWithoutADraw) {
+  // A scheduled disk error fails the first completion at or after its
+  // cycle and leaves the stochastic stream exactly where it was.
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.disk_error_per_mille = 500;
+  FaultInjector plain(plan);
+  plan.DiskErrorAt(300).DiskErrorAt(100);
+  FaultInjector scheduled(plan);
+  const bool first = plain.NextDiskError(0);
+  const bool second = plain.NextDiskError(0);
+  const bool third = plain.NextDiskError(0);
+  EXPECT_EQ(scheduled.NextDiskError(50), first);
+  EXPECT_TRUE(scheduled.NextDiskError(150));
+  EXPECT_EQ(scheduled.NextDiskError(200), second);
+  EXPECT_TRUE(scheduled.NextDiskError(400));
+  EXPECT_EQ(scheduled.NextDiskError(500), third);
+  EXPECT_EQ(scheduled.disk_errors_injected(), plain.disk_errors_injected() + 2);
+}
+
 TEST_F(DiskDurabilityTest, RestoreImageBootsOverSurvivingPlatter) {
   FillFrame(2, 33);
   ASSERT_TRUE(Retire(disk_.SubmitWrite(4, 2)).ok());

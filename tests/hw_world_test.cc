@@ -32,9 +32,9 @@ TEST(World, EveryCpuOwnsALocalClock) {
 }
 
 TEST(World, SmpMachineJoinsAWorld) {
-  // A multi-CPU machine's RunCpus registers each CPU fiber as a world
-  // context: both CPUs of machine a and the single CPU of machine b all
-  // interleave under one scheduler.
+  // A multi-CPU machine's RunCpus runs CPU 0 on the machine body's world
+  // context and adds one for CPU 1: both CPUs of machine a and the single
+  // CPU of machine b all interleave under one scheduler.
   World world;
   Machine a(Machine::Config{.phys_pages = 16, .name = "a", .cpus = 2}, &world);
   Machine b(Machine::Config{.phys_pages = 16, .name = "b"}, &world);
@@ -69,6 +69,65 @@ TEST(World, SmpMachineJoinsAWorld) {
   EXPECT_LT(b_woke_at, 100'000u);
   ASSERT_EQ(kb.events.size(), 1u);
   EXPECT_EQ(kb.events[0].second, 7u);
+}
+
+TEST(World, MachineBodyReentersRunCpus) {
+  // The machine body is CPU 0: RunCpus runs CPU 0's body inline and joins
+  // CPU 1's context, so between two rounds the body is back on CPU 0 with
+  // its clock carried on, and the first round's CPU 1 context is gone.
+  World world;
+  Machine a(Machine::Config{.phys_pages = 16, .name = "a", .cpus = 2}, &world);
+  Machine b(Machine::Config{.phys_pages = 16, .name = "b"}, &world);
+  IdleKernel ka(a);
+  IdleKernel kb(b);
+  auto burn = [](Machine& m, int steps) {
+    for (int i = 0; i < steps; ++i) {
+      m.Charge(100);
+    }
+  };
+  std::vector<int> finished;
+  std::vector<uint32_t> body_cpu;
+  std::vector<uint64_t> body_clock;
+  uint64_t cpu1_after_round1 = 0;
+  uint64_t cpu1_at_round2 = 0;
+  bool b_done = false;
+  world.Run({[&] {
+               a.RunCpus({[&] {
+                            burn(a, 10);
+                            finished.push_back(0);
+                          },
+                          [&] {
+                            burn(a, 20);
+                            finished.push_back(1);
+                            cpu1_after_round1 = a.cpu(1).clock().now();
+                          }});
+               body_cpu.push_back(a.current_cpu());
+               body_clock.push_back(a.clock().now());
+               a.RunCpus({[&] {
+                            burn(a, 15);
+                            finished.push_back(10);
+                          },
+                          [&] {
+                            cpu1_at_round2 = a.cpu(1).clock().now();
+                            burn(a, 10);
+                            finished.push_back(11);
+                          }});
+               body_cpu.push_back(a.current_cpu());
+               body_clock.push_back(a.clock().now());
+             },
+             [&] {
+               burn(b, 30);
+               b_done = true;
+             }});
+  EXPECT_EQ(finished, (std::vector<int>{0, 1, 10, 11}));
+  EXPECT_EQ(body_cpu, (std::vector<uint32_t>{0, 0}));
+  EXPECT_EQ(body_clock, (std::vector<uint64_t>{1'000, 2'500}));
+  // Nothing ran on CPU 1 between its first-round body returning and its
+  // second-round body starting.
+  EXPECT_EQ(cpu1_after_round1, 2'000u);
+  EXPECT_EQ(cpu1_at_round2, cpu1_after_round1);
+  EXPECT_EQ(a.cpu(1).clock().now(), 3'000u);
+  EXPECT_TRUE(b_done);
 }
 
 TEST(World, BodiesRunToCompletion) {
