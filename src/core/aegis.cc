@@ -1,8 +1,10 @@
 #include "src/core/aegis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace xok::aegis {
 
@@ -15,9 +17,11 @@ Aegis::Aegis(hw::Machine& machine, const Config& config)
       priv_(machine.InstallKernel(this)),
       authority_(cap::SipKey{config.cap_key0, config.cap_key1}),
       cpu_(machine.cpu_count()),
-      pages_(machine.mem().page_count()) {
+      pages_(machine.mem().page_count()),
+      stlb_(machine.mem().page_count()) {
   for (CpuSched& cpu : cpu_) {
     cpu.slice_vector.assign(config.slice_count, kNoEnv);
+    cpu.occupied.assign((config.slice_count + 63) / 64, 0);
   }
 }
 
@@ -116,11 +120,8 @@ Result<EnvGrant> Aegis::CreateEnv(EnvSpec spec) {
   const uint32_t home = PickCpu(cpu_mask);
   // Allocate time-slice vector positions (each CPU is a linear vector of
   // slices; an environment without a slice never runs).
-  uint32_t free_slots = 0;
-  for (EnvId owner : cpu_[home].slice_vector) {
-    free_slots += (owner == kNoEnv) ? 1 : 0;
-  }
-  if (free_slots < spec.slices) {
+  const CpuSched& home_cpu = cpu_[home];
+  if (home_cpu.slice_vector.size() - home_cpu.OccupiedCount() < spec.slices) {
     return Status::kErrNoResources;
   }
 
@@ -445,24 +446,59 @@ bool Aegis::RunnableOn(const Env& env, uint32_t cpu_index) const {
 EnvId Aegis::NextRunnable(uint32_t cpu_index) {
   CpuSched& cpu = cpu_[cpu_index];
   const uint32_t n = static_cast<uint32_t>(cpu.slice_vector.size());
-  uint32_t pos = cpu.slice_cursor;  // In [0, n]: one past the last pick.
-  for (uint32_t step = 0; step < n; ++step, ++pos) {
-    pos = pos == n ? 0 : pos;
-    const EnvId id = cpu.slice_vector[pos];
-    Env* env = id == kNoEnv ? nullptr : FindEnv(id);
-    if (env == nullptr || !RunnableOn(*env, cpu_index)) {
-      continue;
+  const uint32_t start = cpu.slice_cursor;  // In [0, n]: one past the last pick.
+  // Occupied slots in cyclic order from the cursor: [start, n), then [0, start).
+  for (const auto& [first, end] : {std::pair{start, n}, std::pair{0u, start}}) {
+    for (uint32_t pos = cpu.NextOccupied(first); pos < end; pos = cpu.NextOccupied(pos + 1)) {
+      Env* env = FindEnv(cpu.slice_vector[pos]);
+      if (env == nullptr || !RunnableOn(*env, cpu_index)) {
+        continue;
+      }
+      if (env->excess_penalty > 0) {
+        // Pay for excess time consumed in a past epilogue by forfeiting
+        // this slice.
+        --env->excess_penalty;
+        continue;
+      }
+      cpu.slice_cursor = pos + 1;
+      return env->id;
     }
-    if (env->excess_penalty > 0) {
-      // Pay for excess time consumed in a past epilogue by forfeiting this
-      // slice.
-      --env->excess_penalty;
-      continue;
-    }
-    cpu.slice_cursor = pos + 1;
-    return id;
   }
   return kNoEnv;
+}
+
+void Aegis::CpuSched::SetSlot(uint32_t slot, EnvId owner) {
+  slice_vector[slot] = owner;
+  const uint64_t bit = 1ULL << (slot % 64);
+  if (owner == kNoEnv) {
+    occupied[slot / 64] &= ~bit;
+  } else {
+    occupied[slot / 64] |= bit;
+  }
+}
+
+uint32_t Aegis::CpuSched::NextOccupied(uint32_t from) const {
+  const uint32_t n = static_cast<uint32_t>(slice_vector.size());
+  if (from >= n) {
+    return n;
+  }
+  uint32_t word = from / 64;
+  uint64_t bits = occupied[word] & (~0ULL << (from % 64));
+  while (bits == 0) {
+    if (++word == occupied.size()) {
+      return n;
+    }
+    bits = occupied[word];
+  }
+  return word * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+}
+
+uint32_t Aegis::CpuSched::OccupiedCount() const {
+  uint32_t count = 0;
+  for (uint64_t word : occupied) {
+    count += static_cast<uint32_t>(std::popcount(word));
+  }
+  return count;
 }
 
 uint32_t Aegis::PickCpu(uint64_t mask) const {
@@ -472,10 +508,7 @@ uint32_t Aegis::PickCpu(uint64_t mask) const {
     if ((mask & (1ULL << k)) == 0) {
       continue;
     }
-    uint32_t load = 0;
-    for (EnvId owner : cpu_[k].slice_vector) {
-      load += (owner != kNoEnv) ? 1 : 0;
-    }
+    const uint32_t load = cpu_[k].OccupiedCount();
     if (best == kNoCpu || load < best_load) {
       best = k;
       best_load = load;
@@ -485,9 +518,10 @@ uint32_t Aegis::PickCpu(uint64_t mask) const {
 }
 
 Status Aegis::GrantSlice(Env& env, uint32_t cpu_index) {
-  for (EnvId& owner : cpu_[cpu_index].slice_vector) {
-    if (owner == kNoEnv) {
-      owner = env.id;
+  CpuSched& cpu = cpu_[cpu_index];
+  for (uint32_t slot = 0; slot < cpu.slice_vector.size(); ++slot) {
+    if (cpu.slice_vector[slot] == kNoEnv) {
+      cpu.SetSlot(slot, env.id);
       ++env.slice_slots;
       env.slot_mask |= 1ULL << cpu_index;
       return Status::kOk;
@@ -498,7 +532,11 @@ Status Aegis::GrantSlice(Env& env, uint32_t cpu_index) {
 
 void Aegis::ReleaseSlots(Env& env) {
   for (CpuSched& cpu : cpu_) {
-    std::replace(cpu.slice_vector.begin(), cpu.slice_vector.end(), env.id, kNoEnv);
+    for (uint32_t slot = 0; slot < cpu.slice_vector.size(); ++slot) {
+      if (cpu.slice_vector[slot] == env.id) {
+        cpu.SetSlot(slot, kNoEnv);
+      }
+    }
     if (cpu.yield_hint == env.id) {
       cpu.yield_hint = kNoEnv;
     }
@@ -1219,6 +1257,8 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
       }
     }
   }
+  // The STLB's per-frame counts must match a recount of its valid slots.
+  std::vector<uint16_t> frame_entries(pages_.size(), 0);
   for (const Stlb::Entry& entry : stlb_.slots()) {
     if (!entry.valid) {
       continue;
@@ -1227,6 +1267,16 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
       fail("STLB entry for dead asid " + std::to_string(entry.asid));
     } else if (entry.pfn >= pages_.size() || !owner_ok(pages_[entry.pfn].owner)) {
       fail("STLB entry maps reclaimed frame " + std::to_string(entry.pfn));
+    }
+    if (entry.pfn < pages_.size()) {
+      ++frame_entries[entry.pfn];
+    }
+  }
+  for (size_t p = 0; p < frame_entries.size(); ++p) {
+    if (frame_entries[p] != stlb_.frame_entries()[p]) {
+      fail("STLB counts " + std::to_string(stlb_.frame_entries()[p]) + " entries for frame " +
+           std::to_string(p) + ", its slots hold " + std::to_string(frame_entries[p]));
+      break;  // One miscounted frame suffices.
     }
   }
 
@@ -1267,22 +1317,28 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
   }
 
   // Scheduler: every slice-vector slot on every CPU names a live env, the
-  // donation hints reference only live envs, and each env's slice-slot
-  // ledger matches the slots the vectors actually hold for it.
+  // donation hints reference only live envs, each CPU's occupied-slot
+  // bitmap matches its vector, and each env's slice-slot ledger matches the
+  // slots the vectors actually hold for it.
   std::vector<uint32_t> slots_held(envs_.size() + 1, 0);
   for (size_t k = 0; k < cpu_.size(); ++k) {
     const CpuSched& cpu = cpu_[k];
+    std::vector<uint64_t> occupied(cpu.occupied.size(), 0);
     for (size_t slot = 0; slot < cpu.slice_vector.size(); ++slot) {
       const EnvId id = cpu.slice_vector[slot];
       if (id == kNoEnv) {
         continue;
       }
+      occupied[slot / 64] |= 1ULL << (slot % 64);
       if (!alive(id)) {
         fail("cpu " + std::to_string(k) + " slice " + std::to_string(slot) +
              " owned by dead env " + std::to_string(id));
       } else {
         ++slots_held[id];
       }
+    }
+    if (occupied != cpu.occupied) {
+      fail("cpu " + std::to_string(k) + " occupied-slot bitmap disagrees with its slice vector");
     }
     if (cpu.yield_hint != kNoEnv && !alive(cpu.yield_hint)) {
       fail("cpu " + std::to_string(k) + " yield hint names dead env " +

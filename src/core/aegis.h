@@ -170,7 +170,7 @@ class Aegis final : public hw::TrapSink {
   struct Config {
     uint64_t slice_cycles = kDefaultSliceCycles;
     uint32_t slice_count = 64;   // Length of the CPU slice vector.
-    uint32_t max_envs = 62;      // Asid space (8 bits) minus kernel reserves.
+    uint32_t max_envs = 62;      // Lifetime cap on CreateEnv calls (ids are never reused).
     uint64_t cap_key0 = 0xae915ULL;
     uint64_t cap_key1 = 0x50351995ULL;  // SOSP 1995.
   };
@@ -650,6 +650,10 @@ class Aegis final : public hw::TrapSink {
   // cpu_[0], which behaves exactly as the old globals did.
   struct CpuSched {
     std::vector<EnvId> slice_vector;
+    // Bit s % 64 of word s / 64 is set iff slice_vector[s] holds an env: a
+    // host-side summary that charges nothing and lets the scheduler visit
+    // only occupied slots. SetSlot is the only writer of either.
+    std::vector<uint64_t> occupied;
     uint32_t slice_cursor = 0;
     EnvId yield_hint = kNoEnv;  // Directed-yield target (slice donation).
     EnvId current = kNoEnv;
@@ -661,6 +665,11 @@ class Aegis final : public hw::TrapSink {
     // the environment with SwitchToKernel only then, never from
     // kernel-fiber interrupt delivery (DrainMailbox, WaitForInterrupt).
     bool env_fiber_active = false;
+
+    void SetSlot(uint32_t slot, EnvId owner);
+    // The first occupied slot at or after `from`, else slice_vector.size().
+    uint32_t NextOccupied(uint32_t from) const;
+    uint32_t OccupiedCount() const;
   };
   std::vector<CpuSched> cpu_;
   CpuSched& cur() { return cpu_[machine_.current_cpu()]; }

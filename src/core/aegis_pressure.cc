@@ -19,12 +19,12 @@ uint32_t Aegis::RevokeSlices(EnvId victim_id, uint32_t slots, uint32_t min_keep)
     CpuSched& cpu = cpu_[k];
     bool still_holds = false;
     machine_.Charge(Instr(2) * cpu.slice_vector.size());
-    for (EnvId& owner : cpu.slice_vector) {
-      if (owner != victim_id) {
+    for (uint32_t slot = 0; slot < cpu.slice_vector.size(); ++slot) {
+      if (cpu.slice_vector[slot] != victim_id) {
         continue;
       }
       if (removed < slots && victim->slice_slots > min_keep) {
-        owner = kNoEnv;
+        cpu.SetSlot(slot, kNoEnv);
         --victim->slice_slots;
         ++removed;
       } else {

@@ -5,8 +5,10 @@
 #ifndef XOK_SRC_CORE_STLB_H_
 #define XOK_SRC_CORE_STLB_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/hw/trap.h"
 
@@ -24,6 +26,9 @@ class Stlb {
     bool valid = false;
   };
 
+  // Every pfn handed to this STLB must be below `frames`.
+  explicit Stlb(uint32_t frames) : frame_entries_(frames, 0) {}
+
   const Entry* Lookup(hw::Vpn vpn, hw::Asid asid) const {
     const Entry& entry = slots_[SlotOf(vpn, asid)];
     if (entry.valid && entry.vpn == vpn && entry.asid == asid) {
@@ -33,28 +38,33 @@ class Stlb {
   }
 
   void Insert(hw::Vpn vpn, hw::Asid asid, hw::PageId pfn, bool writable) {
-    slots_[SlotOf(vpn, asid)] = Entry{vpn, asid, pfn, writable, true};
+    Entry& entry = slots_[SlotOf(vpn, asid)];
+    Drop(entry);
+    entry = Entry{vpn, asid, pfn, writable, true};
+    ++frame_entries_[pfn];
   }
 
   void Invalidate(hw::Vpn vpn, hw::Asid asid) {
     Entry& entry = slots_[SlotOf(vpn, asid)];
-    if (entry.valid && entry.vpn == vpn && entry.asid == asid) {
-      entry.valid = false;
+    if (entry.vpn == vpn && entry.asid == asid) {
+      Drop(entry);
     }
   }
 
   void FlushAsid(hw::Asid asid) {
     for (Entry& entry : slots_) {
       if (entry.asid == asid) {
-        entry.valid = false;
+        Drop(entry);
       }
     }
   }
 
+  // Sweeps the slots only while the frame still has valid entries; a frame
+  // that was never mapped (the common case on release) costs one load.
   void FlushPfn(hw::PageId pfn) {
-    for (Entry& entry : slots_) {
-      if (entry.valid && entry.pfn == pfn) {
-        entry.valid = false;
+    for (uint32_t slot = 0; slot < kEntries && frame_entries_[pfn] > 0; ++slot) {
+      if (slots_[slot].pfn == pfn) {
+        Drop(slots_[slot]);
       }
     }
   }
@@ -63,17 +73,29 @@ class Stlb {
     for (Entry& entry : slots_) {
       entry.valid = false;
     }
+    std::fill(frame_entries_.begin(), frame_entries_.end(), 0);
   }
 
-  // Diagnostic view for the kernel invariant auditor.
+  // Diagnostic views for the kernel invariant auditor. frame_entries()[p]
+  // counts the valid slots naming frame p: a host-side summary of slots()
+  // that charges nothing.
   const std::array<Entry, kEntries>& slots() const { return slots_; }
+  const std::vector<uint16_t>& frame_entries() const { return frame_entries_; }
 
  private:
   static uint32_t SlotOf(hw::Vpn vpn, hw::Asid asid) {
     return (vpn ^ (static_cast<uint32_t>(asid) << 7)) & (kEntries - 1);
   }
 
+  void Drop(Entry& entry) {
+    if (entry.valid) {
+      entry.valid = false;
+      --frame_entries_[entry.pfn];
+    }
+  }
+
   std::array<Entry, kEntries> slots_{};
+  std::vector<uint16_t> frame_entries_;  // Fits: at most kEntries per frame.
 };
 
 }  // namespace xok::aegis

@@ -1,6 +1,7 @@
 #include "src/exos/fs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace xok::exos {
@@ -36,18 +37,36 @@ constexpr uint32_t kDescMagic = 0xd5c0de01;
 constexpr uint32_t kCommitMagic = 0xd5c0de02;
 constexpr size_t kChecksumOff = hw::kPageBytes - 4;
 
-uint32_t Fnv1a(std::span<const uint8_t> bytes, uint32_t hash = 2166136261u) {
-  for (uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 16777619u;
+constexpr uint32_t kChecksumSeed = 2166136261u;
+
+// Journal checksum: one 64-bit multiply per 8-byte little-endian word (a
+// short tail is zero-padded into one last word), folded to 32 bits.
+// `seed` chains the payload checksum across a record's blocks. The rotate
+// carries each product's high bits back down: without it a flip of bit 63
+// only ever reaches bit 63, so flipping it in two words would cancel out.
+uint32_t JournalChecksum(std::span<const uint8_t> bytes, uint32_t seed = kChecksumSeed) {
+  uint64_t hash = seed;
+  const auto mix = [&hash](uint64_t word) {
+    hash = std::rotl((hash ^ word) * 0x9e3779b97f4a7c15ULL, 29);
+  };
+  size_t off = 0;
+  for (; off + 8 <= bytes.size(); off += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, &bytes[off], 8);
+    mix(word);
   }
-  return hash;
+  if (off < bytes.size()) {
+    uint64_t word = 0;
+    std::memcpy(&word, &bytes[off], bytes.size() - off);
+    mix(word);
+  }
+  return static_cast<uint32_t>(hash ^ (hash >> 32));
 }
 
 // Header checksum of a descriptor/commit block: everything before the
 // checksum word.
 uint32_t HeaderChecksum(std::span<const uint8_t> block) {
-  return Fnv1a(block.first(kChecksumOff));
+  return JournalChecksum(block.first(kChecksumOff));
 }
 
 }  // namespace
@@ -520,10 +539,10 @@ Status LibFs::CommitTxn() {
       return written;
     }
     // Payload blocks: the new images, verbatim.
-    uint32_t payload_checksum = 2166136261u;
+    uint32_t payload_checksum = kChecksumSeed;
     for (size_t i = 0; i < txn_.size(); ++i) {
       proc_.machine().Charge(Instr(hw::kPageBytes / 4));
-      payload_checksum = Fnv1a(txn_[i].bytes, payload_checksum);
+      payload_checksum = JournalChecksum(txn_[i].bytes, payload_checksum);
       written = RawWrite(kJournalStart + journal_head_ + 1 + static_cast<uint32_t>(i),
                          txn_[i].bytes);
       if (written != Status::kOk) {
@@ -633,10 +652,10 @@ Status LibFs::ReplayJournal() {
         ReadLe32(commit, kChecksumOff) != HeaderChecksum(commit)) {
       break;  // Uncommitted or torn: discard this and everything after.
     }
-    uint32_t payload_checksum = 2166136261u;
+    uint32_t payload_checksum = kChecksumSeed;
     for (uint32_t i = 0; i < count; ++i) {
       proc_.machine().Charge(Instr(hw::kPageBytes / 4));
-      payload_checksum = Fnv1a(journal[head + 1 + i], payload_checksum);
+      payload_checksum = JournalChecksum(journal[head + 1 + i], payload_checksum);
     }
     if (payload_checksum != ReadLe32(commit, 8)) {
       break;  // A payload block was torn by the crash.

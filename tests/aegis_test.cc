@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/dpf/tcpip_filters.h"
@@ -230,6 +231,43 @@ TEST_F(AegisTest, EpilogueOverrunForfeitsSlices) {
   ASSERT_TRUE(gg.ok());
   kernel_.Run();
   EXPECT_GE(kernel_.slices_of(gg->env), kernel_.slices_of(hog));
+}
+
+TEST(AegisSchedTest, SliceScanOrderOverSparseSlots) {
+  // Pins the round-robin pick order over a sparse slice vector that spans
+  // two bitmap words: fillers exit on their first turn and leave holes,
+  // the cursor wraps past the end, and B forfeits one of its two slots to
+  // pay for an overrunning epilogue.
+  hw::Machine machine(hw::Machine::Config{.phys_pages = 64, .name = "sched"});
+  Aegis kernel(machine, Aegis::Config{.slice_count = 70});
+  std::string picks;
+  const auto add = [&](char name, uint32_t slices, int turns, bool overrun) {
+    EnvSpec spec;
+    spec.slices = slices;
+    spec.entry = [&, name, turns, overrun] {
+      for (int turn = 0; turn < turns; ++turn) {
+        picks += name;
+        if (overrun && turn == 0) {
+          machine.Charge(kernel.slice_cycles() * 2);  // Preempted by the timer.
+        } else if (turn + 1 < turns) {
+          kernel.SysYield();
+        }
+      }
+    };
+    if (overrun) {
+      spec.handlers.timer_epilogue = [&] { machine.Charge(kEpilogueBudget * 10); };
+    }
+    ASSERT_TRUE(kernel.CreateEnv(std::move(spec)).ok());
+  };
+  add('f', 3, 1, false);   // Slots 0-2.
+  add('A', 1, 3, false);   // Slot 3.
+  add('g', 60, 1, false);  // Slots 4-63.
+  add('B', 2, 5, true);    // Slots 64-65.
+  add('h', 1, 1, false);   // Slot 66.
+  add('i', 1, 1, false);   // Slot 67.
+  add('C', 1, 3, false);   // Slot 68.
+  kernel.Run();
+  EXPECT_EQ(picks, "fAgBhiCABBCABBC");
 }
 
 // --- Memory secure bindings ---

@@ -320,6 +320,83 @@ TEST(FsCrashTest, PowerCutDuringRecoveryIsIdempotent) {
   }
 }
 
+// Silent media corruption, not a torn write: the same bit flipped in two
+// different 8-byte words of a committed record's payload block. Replay must
+// reject the record by its payload checksum, whichever bit of the word it
+// is (a word hash that never mixes high bits down lets a pair of bit-63
+// flips cancel), and the file system must stay consistent without it.
+TEST(FsCrashTest, PayloadBitFlipsDiscardTheRecord) {
+  const std::vector<uint8_t> base = FormattedImage();
+  // One committed transaction (a Create) and no checkpoint: the record is
+  // durable in the journal while its home blocks sit in the cache.
+  struct {
+    std::unique_ptr<LibFs> fs;
+    uint32_t first_block = 0;
+    Status created = Status::kErrInternal;
+  } commit;
+  const std::vector<uint8_t> committed =
+      BootAndRun(base, nullptr, [&](Process& p, aegis::Aegis& k) {
+        Result<aegis::Aegis::DiskExtentGrant> extent = k.SysAllocDiskExtent(kExtentBlocks);
+        if (!extent.ok()) {
+          return;
+        }
+        commit.first_block = extent->first_block;
+        Result<std::unique_ptr<LibFs>> fs = LibFs::Mount(p, *extent, kCacheSlots);
+        if (!fs.ok()) {
+          return;
+        }
+        commit.fs = std::move(*fs);
+        commit.created = commit.fs->Create(kLateFile).status();
+      });
+  ASSERT_EQ(commit.created, Status::kOk);
+  commit.fs.reset();
+
+  // Mounts `image`; reports how many records replayed, fsck, and whether
+  // the created file exists.
+  const auto remount = [](const std::vector<uint8_t>& image, uint64_t* replayed, Status* fsck,
+                          bool* has_file) {
+    std::unique_ptr<LibFs> fs_owner;
+    BootAndRun(image, nullptr, [&](Process& p, aegis::Aegis& k) {
+      Result<aegis::Aegis::DiskExtentGrant> extent = k.SysAllocDiskExtent(kExtentBlocks);
+      if (!extent.ok()) {
+        return;
+      }
+      Result<std::unique_ptr<LibFs>> fs = LibFs::Mount(p, *extent, kCacheSlots);
+      if (!fs.ok()) {
+        return;
+      }
+      fs_owner = std::move(*fs);
+      *replayed = fs_owner->txns_replayed();
+      *fsck = fs_owner->Fsck();
+      *has_file = fs_owner->Open(kLateFile).ok();
+    });
+  };
+  uint64_t replayed = 0;
+  Status fsck = Status::kErrInternal;
+  bool has_file = false;
+  remount(committed, &replayed, &fsck, &has_file);
+  ASSERT_EQ(replayed, 1u) << "the uncorrupted record must replay";
+  ASSERT_EQ(fsck, Status::kOk);
+  ASSERT_TRUE(has_file);
+
+  // The first payload block follows the descriptor at the journal's start
+  // (LibFs::kJournalStart, extent block 3).
+  const size_t payload = (static_cast<size_t>(commit.first_block) + 3 + 1) * hw::kPageBytes;
+  for (const uint32_t bit : {0u, 31u, 32u, 63u}) {
+    std::vector<uint8_t> image = committed;
+    for (const size_t word : {size_t{5}, size_t{300}}) {
+      image[payload + word * 8 + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    replayed = 1;
+    fsck = Status::kErrInternal;
+    has_file = true;
+    remount(image, &replayed, &fsck, &has_file);
+    EXPECT_EQ(replayed, 0u) << "bit " << bit << ": corrupted record replayed";
+    EXPECT_EQ(fsck, Status::kOk) << "bit " << bit;
+    EXPECT_FALSE(has_file) << "bit " << bit;
+  }
+}
+
 // Chaos arm: random workloads with media errors, torn writes, and a power
 // cut landing wherever the seed says — recovery must always hold.
 class FsCrashChaos : public ::testing::TestWithParam<uint64_t> {};

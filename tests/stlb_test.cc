@@ -3,19 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "src/base/rand.h"
 
 namespace xok::aegis {
 namespace {
 
+constexpr uint32_t kFrames = 1 << 16;
+
 TEST(Stlb, MissesWhenEmpty) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   EXPECT_EQ(stlb.Lookup(5, 1), nullptr);
 }
 
 TEST(Stlb, HitAfterInsert) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   stlb.Insert(5, 1, 77, true);
   const Stlb::Entry* entry = stlb.Lookup(5, 1);
   ASSERT_NE(entry, nullptr);
@@ -24,27 +27,27 @@ TEST(Stlb, HitAfterInsert) {
 }
 
 TEST(Stlb, AsidSeparation) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   stlb.Insert(5, 1, 77, true);
   EXPECT_EQ(stlb.Lookup(5, 2), nullptr);
 }
 
 TEST(Stlb, InvalidateRemoves) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   stlb.Insert(5, 1, 77, true);
   stlb.Invalidate(5, 1);
   EXPECT_EQ(stlb.Lookup(5, 1), nullptr);
 }
 
 TEST(Stlb, InvalidateWrongAsidIsNoop) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   stlb.Insert(5, 1, 77, true);
   stlb.Invalidate(5, 2);
   EXPECT_NE(stlb.Lookup(5, 1), nullptr);
 }
 
 TEST(Stlb, FlushAsidRemovesAllForAsid) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   for (hw::Vpn v = 0; v < 100; ++v) {
     stlb.Insert(v, 3, v, false);
     stlb.Insert(v, 4, v, false);
@@ -61,7 +64,7 @@ TEST(Stlb, FlushAsidRemovesAllForAsid) {
 }
 
 TEST(Stlb, FlushPfnRemovesAllMappingsOfFrame) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   stlb.Insert(5, 1, 77, true);
   stlb.Insert(9, 2, 77, true);
   stlb.Insert(6, 1, 78, true);
@@ -72,7 +75,7 @@ TEST(Stlb, FlushPfnRemovesAllMappingsOfFrame) {
 }
 
 TEST(Stlb, DirectMappedConflictEvicts) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   // Two VPNs hashing to the same slot: vpn and vpn ^ (asid<<7) structure
   // means vpn + kEntries collides for the same asid.
   stlb.Insert(5, 1, 10, true);
@@ -85,7 +88,7 @@ TEST(Stlb, DirectMappedConflictEvicts) {
 // Property: the STLB never *invents* a translation — every hit matches the
 // most recent insert for that (vpn, asid).
 TEST(Stlb, PropertyNeverInventsMappings) {
-  Stlb stlb;
+  Stlb stlb(kFrames);
   std::map<std::pair<hw::Vpn, hw::Asid>, std::pair<hw::PageId, bool>> model;
   SplitMix64 rng(17);
   for (int step = 0; step < 20000; ++step) {
@@ -114,6 +117,43 @@ TEST(Stlb, PropertyNeverInventsMappings) {
         break;
       }
     }
+  }
+}
+
+// Property: the per-frame counts stay exact under every mutator, and
+// FlushPfn (which trusts them to stop early) leaves no valid entry naming
+// the flushed frame. Few frames, asids and vpns force slot conflicts and
+// overwrites of a slot's frame.
+TEST(Stlb, PropertyFrameCountsMatchSlots) {
+  constexpr uint32_t kFewFrames = 24;
+  Stlb stlb(kFewFrames);
+  SplitMix64 rng(20261016);
+  for (int step = 0; step < 6000; ++step) {
+    const hw::Vpn vpn = static_cast<hw::Vpn>(rng.NextBelow(2 * Stlb::kEntries));
+    const hw::Asid asid = static_cast<hw::Asid>(rng.NextBelow(6));
+    const hw::PageId pfn = static_cast<hw::PageId>(rng.NextBelow(kFewFrames));
+    const uint64_t op = rng.NextBelow(100);
+    if (op < 70) {
+      stlb.Insert(vpn, asid, pfn, rng.NextBelow(2) == 0);
+    } else if (op < 85) {
+      stlb.Invalidate(vpn, asid);
+    } else if (op < 92) {
+      stlb.FlushPfn(pfn);
+      for (const Stlb::Entry& entry : stlb.slots()) {
+        ASSERT_FALSE(entry.valid && entry.pfn == pfn) << "step " << step;
+      }
+    } else if (op < 99) {
+      stlb.FlushAsid(asid);
+    } else {
+      stlb.FlushAll();
+    }
+    std::vector<uint16_t> recount(kFewFrames, 0);
+    for (const Stlb::Entry& entry : stlb.slots()) {
+      if (entry.valid) {
+        ++recount[entry.pfn];
+      }
+    }
+    ASSERT_EQ(stlb.frame_entries(), recount) << "step " << step << " op " << op;
   }
 }
 
