@@ -17,16 +17,9 @@ Process::Process(aegis::Aegis& kernel, std::function<void(Process&)> main,
   spec.cpu_mask = options.cpu_mask;
   spec.entry = [this, main = std::move(main)]() { main(*this); };
   spec.handlers.exception = [this](const hw::TrapFrame& frame) { return OnException(frame); };
-  // Default interrupt context: save the general-purpose context (the
-  // application does its own context switching — paper §5.1.1). Library
-  // schedulers may override via set_timer_epilogue.
-  spec.handlers.timer_epilogue = [this]() {
-    if (epilogue_) {
-      epilogue_();
-    } else {
-      machine().Charge(Instr(30));
-    }
-  };
+  // End-of-slice interrupt context: save the general-purpose context (the
+  // application does its own context switching — paper §5.1.1).
+  spec.handlers.timer_epilogue = [this]() { machine().Charge(Instr(30)); };
   spec.handlers.pct_sync = [this](const PctArgs& args) {
     return pct_server_ ? pct_server_(args) : PctArgs{};
   };

@@ -55,12 +55,6 @@ class Process {
   void set_revoke_handler(std::function<void(uint32_t)> handler) {
     revoke_ = std::move(handler);
   }
-  // Replaces the default end-of-slice epilogue (which just charges the
-  // context save). Library schedulers (exos::ThreadGroup) hook preemption
-  // here — the timer interrupt the exokernel exposes to applications.
-  void set_timer_epilogue(std::function<void()> epilogue) {
-    epilogue_ = std::move(epilogue);
-  }
 
  private:
   aegis::ExcAction OnException(const hw::TrapFrame& frame);
@@ -71,7 +65,6 @@ class Process {
   aegis::EnvId id_ = aegis::kNoEnv;
   cap::Capability env_cap_;
   std::function<aegis::ExcAction(const hw::TrapFrame&)> raw_exception_;
-  std::function<void()> epilogue_;
   std::function<aegis::PctArgs(const aegis::PctArgs&)> pct_server_;
   std::function<void(const aegis::PctArgs&)> pct_async_;
   std::function<void(uint32_t)> revoke_;

@@ -1,9 +1,9 @@
 // HTTP/KV protocol for the Cheetah-style server libOS (paper §6.3's end
 // state: a web server built *from* exokernel primitives).
 //
-// The protocol is HTTP/1.0 text carried in UDP payloads (and equally over
-// RDP — the parser sees delivered bytes, not a transport), prefixed by a
-// tiny fixed envelope the demultiplexer can route on:
+// The protocol is HTTP/1.0 text carried in UDP payloads (the parser sees
+// delivered bytes, not a transport), prefixed by a tiny fixed envelope the
+// demultiplexer can route on:
 //
 //   request payload   [0]     shard byte (FNV-1a of the key, masked by the
 //                             worker count — software RSS, expressed as a

@@ -72,17 +72,12 @@ void Wire::Attach(Nic* nic) {
 }
 
 void Wire::Broadcast(Nic* sender, std::span<const uint8_t> frame) {
-  if (loss_per_mille_ > 0 && loss_rng_.NextBelow(1000) < loss_per_mille_) {
-    ++frames_lost_;  // The frame evaporates on the wire.
-    return;
-  }
   if (fault_injector_ != nullptr && fault_injector_->NextWireDrop()) {
-    ++frames_lost_;
-    return;
+    return;  // The frame evaporates on the wire.
   }
   std::vector<uint8_t> bytes(frame.begin(), frame.end());
-  if (fault_injector_ != nullptr && fault_injector_->MaybeCorruptFrame(bytes)) {
-    ++frames_corrupted_;  // Bit rot in transit; receivers must checksum.
+  if (fault_injector_ != nullptr) {
+    fault_injector_->MaybeCorruptFrame(bytes);  // Bit rot, delivered verbatim.
   }
   const MacAddr dst = ReadMac(bytes, 0);
   const uint64_t arrival = sender->machine_.clock().now() +

@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "src/base/rand.h"
 #include "src/hw/fault.h"
 #include "src/hw/machine.h"
 
@@ -106,21 +105,9 @@ class Wire {
 
   void Attach(Nic* nic);
 
-  // Fault injection: drop roughly `per_mille`/1000 of delivered frames,
-  // deterministically (seeded). 0 disables (default). Real Ethernet loses
-  // frames under collisions and overruns; reliable protocols built above
-  // (src/net) are tested against this.
-  void SetLossRate(uint32_t per_mille, uint64_t seed = 0x10559) {
-    loss_per_mille_ = per_mille;
-    loss_rng_ = SplitMix64(seed);
-  }
-
-  // Richer fault injection (drop + byte corruption) from a shared seeded
-  // plan; composes with SetLossRate. Pass nullptr to disarm.
+  // Fault injection (drop + byte corruption) from a shared seeded plan; the
+  // injector counts what it drops and corrupts. Pass nullptr to disarm.
   void set_fault_injector(FaultInjector* injector) { fault_injector_ = injector; }
-
-  uint64_t frames_lost() const { return frames_lost_; }
-  uint64_t frames_corrupted() const { return frames_corrupted_; }
 
  private:
   friend class Nic;
@@ -128,10 +115,6 @@ class Wire {
   void Broadcast(Nic* sender, std::span<const uint8_t> frame);
 
   std::vector<Nic*> nics_;
-  uint32_t loss_per_mille_ = 0;
-  SplitMix64 loss_rng_{0x10559};
-  uint64_t frames_lost_ = 0;
-  uint64_t frames_corrupted_ = 0;
   FaultInjector* fault_injector_ = nullptr;
 };
 

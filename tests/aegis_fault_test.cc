@@ -1,9 +1,8 @@
 // Fault injection and crash-safe teardown: forced environment termination
 // (KillEnv) must reclaim every resource class and leave the kernel's
 // tables consistent (AuditInvariants); syscalls aimed at dead or
-// never-created environments must fail cleanly; injected device faults
-// (disk errors, corrupted frames) must surface as clean errors that the
-// library OSes above recover from.
+// never-created environments must fail cleanly; injected disk errors must
+// surface as clean errors that the library OSes above recover from.
 #include "src/hw/fault.h"
 
 #include <gtest/gtest.h>
@@ -15,11 +14,9 @@
 #include "src/dpf/tcpip_filters.h"
 #include "src/exos/fs.h"
 #include "src/exos/ipc.h"
-#include "src/exos/rdp.h"
 #include "src/hw/disk.h"
 #include "src/hw/framebuffer.h"
 #include "src/hw/nic.h"
-#include "src/hw/world.h"
 
 namespace xok {
 namespace {
@@ -462,81 +459,6 @@ TEST_F(FaultTest, PipeReaderSeesEpipeWhenWriterIsKilled) {
   EXPECT_TRUE(reader_drained);
   EXPECT_EQ(kernel_.envs_killed(), 1u);
   EXPECT_EQ(kernel_.audit_failures(), 0u) << kernel_.first_audit_failure();
-}
-
-// --- RDP end-to-end checksum vs. corrupted frames ---
-
-uint64_t Resolve(uint32_t ip) { return ip == 1 ? 0xa : 0xb; }
-
-TEST(RdpChecksumTest, CorruptedFramesAreDroppedAndRecovered) {
-  hw::World world;
-  hw::Machine ma(hw::Machine::Config{.phys_pages = 256, .name = "snd"}, &world);
-  hw::Machine mb(hw::Machine::Config{.phys_pages = 256, .name = "rcv"}, &world);
-  aegis::Aegis ka(ma);
-  aegis::Aegis kb(mb);
-  hw::Wire wire;
-  hw::Nic na(ma, 0xa);
-  hw::Nic nb(mb, 0xb);
-  wire.Attach(&na);
-  wire.Attach(&nb);
-  ka.AttachNic(&na);
-  kb.AttachNic(&nb);
-  hw::FaultPlan plan;
-  plan.seed = 3;
-  plan.wire_corrupt_per_mille = 150;
-  ka.InstallFaultPlan(plan);
-  wire.set_fault_injector(ka.fault_injector());
-
-  constexpr int kMessages = 20;
-  std::vector<std::vector<uint8_t>> received;
-  uint64_t checksum_drops = 0;
-  bool sender_ok = false;
-  exos::Process sender(ka, [&](exos::Process& p) {
-    exos::UdpSocket socket(p, exos::NetIface{0xa, 1, Resolve});
-    ASSERT_EQ(socket.Bind(100), Status::kOk);
-    exos::RdpEndpoint rdp(p, socket, exos::RdpEndpoint::Config{.peer_ip = 2, .peer_port = 200});
-    p.kernel().SysSleep(hw::kClockHz / 100);
-    for (int i = 0; i < kMessages; ++i) {
-      std::vector<uint8_t> payload(1 + (i % 32));
-      for (size_t j = 0; j < payload.size(); ++j) {
-        payload[j] = static_cast<uint8_t>(i + j);
-      }
-      ASSERT_EQ(rdp.Send(payload), Status::kOk);
-    }
-    checksum_drops += rdp.checksum_drops();
-    sender_ok = true;
-  });
-  exos::Process receiver(kb, [&](exos::Process& p) {
-    exos::UdpSocket socket(p, exos::NetIface{0xb, 2, Resolve});
-    ASSERT_EQ(socket.Bind(200), Status::kOk);
-    exos::RdpEndpoint rdp(p, socket, exos::RdpEndpoint::Config{.peer_ip = 1, .peer_port = 100});
-    for (int i = 0; i < kMessages; ++i) {
-      Result<std::vector<uint8_t>> msg = rdp.Recv();
-      ASSERT_TRUE(msg.ok());
-      received.push_back(*msg);
-    }
-    for (int round = 0; round < 16; ++round) {
-      p.kernel().SysSleep(hw::kClockHz / 500);
-      rdp.PumpAcks();
-    }
-    checksum_drops += rdp.checksum_drops();
-  });
-  ASSERT_TRUE(sender.ok());
-  ASSERT_TRUE(receiver.ok());
-  world.Run({[&] { ka.Run(); }, [&] { kb.Run(); }});
-
-  EXPECT_TRUE(sender_ok);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) {
-    ASSERT_EQ(received[i].size(), static_cast<size_t>(1 + (i % 32))) << "message " << i;
-    for (size_t j = 0; j < received[i].size(); ++j) {
-      ASSERT_EQ(received[i][j], static_cast<uint8_t>(i + j)) << "message " << i << " byte " << j;
-    }
-  }
-  // The corruption channel really fired, and the end-to-end checksum (not
-  // the wire) is what caught it.
-  EXPECT_GT(ka.fault_injector()->frames_corrupted(), 0u);
-  EXPECT_GT(checksum_drops, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Randomized chaos soak: several library OSes (VM exerciser, pipe pair,
-// LibFS over a faulty disk, RDP over a lossy+corrupting wire) run
-// concurrently while a seeded FaultPlan kills environments at arbitrary
-// cycle points and injects device errors. After every injected event the
-// kernel audits its own resource tables (set_audit_on_fault); at the end,
-// every surviving protocol must have completed correctly. The whole run is
-// deterministic per seed.
+// LibFS over a faulty disk, a packet-ring consumer flooded over a
+// lossy+corrupting wire) run concurrently while a seeded FaultPlan kills
+// environments at arbitrary cycle points and injects device errors. After
+// every injected event the kernel audits its own resource tables
+// (set_audit_on_fault); at the end, every surviving protocol must have
+// completed correctly. The whole run is deterministic per seed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "src/exos/supervisor.h"
 #include "src/exos/tracelib.h"
 #include "src/exos/ipc.h"
-#include "src/exos/rdp.h"
 #include "src/exos/udp.h"
 #include "src/hw/disk.h"
 #include "src/hw/fault.h"
@@ -37,7 +36,6 @@ uint64_t Resolve(uint32_t ip) { return ip == 1 ? 0xa : 0xb; }
 
 constexpr uint32_t kPipeWords = 2000;
 constexpr uint32_t kWordStride = 2654435761u;  // Knuth multiplicative hash.
-constexpr int kRdpMessages = 20;
 
 class ChaosSoak : public ::testing::TestWithParam<uint64_t> {};
 
@@ -207,39 +205,6 @@ TEST_P(ChaosSoak, KilledEnvironmentsNeverCorruptTheSurvivors) {
     EXPECT_EQ(socket.Close(), Status::kOk);
   });
 
-  // --- RDP pair across the faulty wire: must deliver everything exactly
-  // once, in order, despite drops and corruption. ---
-  std::vector<std::vector<uint8_t>> received;
-  bool sender_done = false;
-  exos::Process rdp_sender(ka, [&](exos::Process& p) {
-    exos::UdpSocket socket(p, exos::NetIface{0xa, 1, Resolve});
-    ASSERT_EQ(socket.Bind(100), Status::kOk);
-    exos::RdpEndpoint rdp(p, socket, exos::RdpEndpoint::Config{.peer_ip = 2, .peer_port = 200});
-    p.kernel().SysSleep(hw::kClockHz / 100);
-    for (int i = 0; i < kRdpMessages; ++i) {
-      std::vector<uint8_t> payload(1 + (i % 32));
-      for (size_t j = 0; j < payload.size(); ++j) {
-        payload[j] = static_cast<uint8_t>(i * 3 + j);
-      }
-      ASSERT_EQ(rdp.Send(payload), Status::kOk);
-    }
-    sender_done = true;
-  });
-  exos::Process rdp_receiver(kb, [&](exos::Process& p) {
-    exos::UdpSocket socket(p, exos::NetIface{0xb, 2, Resolve});
-    ASSERT_EQ(socket.Bind(200), Status::kOk);
-    exos::RdpEndpoint rdp(p, socket, exos::RdpEndpoint::Config{.peer_ip = 1, .peer_port = 100});
-    for (int i = 0; i < kRdpMessages; ++i) {
-      Result<std::vector<uint8_t>> msg = rdp.Recv();
-      ASSERT_TRUE(msg.ok());
-      received.push_back(*msg);
-    }
-    for (int round = 0; round < 16; ++round) {
-      p.kernel().SysSleep(hw::kClockHz / 500);
-      rdp.PumpAcks();
-    }
-  });
-
   ASSERT_TRUE(observer.ok());
   ASSERT_TRUE(pipe_writer.ok());
   ASSERT_TRUE(pipe_reader.ok());
@@ -248,8 +213,6 @@ TEST_P(ChaosSoak, KilledEnvironmentsNeverCorruptTheSurvivors) {
   ASSERT_TRUE(hostile.ok());
   ASSERT_TRUE(ring_consumer.ok());
   ASSERT_TRUE(ring_flooder.ok());
-  ASSERT_TRUE(rdp_sender.ok());
-  ASSERT_TRUE(rdp_receiver.ok());
   writer_peer = {pipe_reader.id(), pipe_reader.env_cap()};
   reader_peer = {pipe_writer.id(), pipe_writer.env_cap()};
 
@@ -280,15 +243,7 @@ TEST_P(ChaosSoak, KilledEnvironmentsNeverCorruptTheSurvivors) {
 
   // Survivors completed despite the carnage around them.
   EXPECT_TRUE(reader_done);
-  EXPECT_TRUE(sender_done);
   EXPECT_TRUE(forgery_checked);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kRdpMessages));
-  for (int i = 0; i < kRdpMessages; ++i) {
-    ASSERT_EQ(received[i].size(), static_cast<size_t>(1 + (i % 32))) << "message " << i;
-    for (size_t j = 0; j < received[i].size(); ++j) {
-      ASSERT_EQ(received[i][j], static_cast<uint8_t>(i * 3 + j)) << "message " << i;
-    }
-  }
 
   // Every scheduled kill landed, and every post-event audit was clean.
   EXPECT_EQ(ka.envs_killed(), 4u);
@@ -332,7 +287,8 @@ TEST_P(ChaosSoak, KilledEnvironmentsNeverCorruptTheSurvivors) {
   // The fault channels all genuinely fired.
   const hw::FaultInjector* injector = ka.fault_injector();
   EXPECT_GT(injector->disk_errors_injected(), 0u);
-  EXPECT_GT(injector->frames_dropped() + injector->frames_corrupted(), 0u);
+  EXPECT_GT(injector->frames_dropped(), 0u);
+  EXPECT_GT(injector->frames_corrupted(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak, ::testing::ValuesIn(ChaosSeeds({1, 2, 3})));
@@ -1091,8 +1047,9 @@ TEST_P(BlackFridaySoak, OverdriveStormKillsAndDiskFaultsShedButNeverCorrupt) {
   ks.InstallPressurePlan(pressure_plan);
 
   // Wire loss between the machines (drops only: loadgen's end-to-end
-  // X-Sum check counts corruption as a server-side failure, so the
-  // corruption channel belongs to the RDP soaks, not this one).
+  // X-Sum check counts a corrupted reply as a server-side failure, and a
+  // request carries no end-to-end check at all, so the corruption channel
+  // is exercised by ChaosSoak's ring flooder instead).
   hw::FaultPlan fault_plan;
   fault_plan.seed = seed;
   fault_plan.wire_drop_per_mille = 25;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/xtrace.h"
 #include "src/exos/process.h"
 #include "src/hw/world.h"
 #include "src/net/wire.h"
@@ -207,6 +208,31 @@ TEST_F(ExosNetTest, SocketLifecycleErrors) {
   ASSERT_TRUE(proc.ok());
   // Only machine A participates; machine B idles out immediately.
   world_.Run({[&] { kernel_a_.Run(); }, [&] {}});
+}
+
+// A socket with no binding has nothing to wait on: Wait fails at once, and
+// WaitOrSleep sleeps out the deadline on the timer, so a timed loop built
+// on it lets time pass instead of spinning.
+TEST_F(ExosNetTest, ClosedSocketWaitOrSleepSleepsOutItsDeadline) {
+  constexpr uint64_t kTimeout = 200'000;
+  const uint32_t sleep = static_cast<uint32_t>(xtrace::Sys::kSleep);
+  bool done = false;
+  Process proc(kernel_a_, [&](Process& p) {
+    UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.Bind(100), Status::kOk);
+    ASSERT_EQ(socket.Close(), Status::kOk);
+    const uint64_t sleeps = p.kernel().SysEnvStats(p.id())->counters.syscalls[sleep];
+    const uint64_t start = p.machine().clock().now();
+    EXPECT_EQ(socket.Wait(start + kTimeout), Status::kErrBadState);
+    EXPECT_EQ(p.kernel().SysEnvStats(p.id())->counters.syscalls[sleep], sleeps);  // No sleep.
+    EXPECT_FALSE(socket.WaitOrSleep(start + kTimeout));
+    EXPECT_GE(p.machine().clock().now(), start + kTimeout);
+    EXPECT_EQ(p.kernel().SysEnvStats(p.id())->counters.syscalls[sleep], sleeps + 1);
+    done = true;
+  });
+  ASSERT_TRUE(proc.ok());
+  world_.Run({[&] { kernel_a_.Run(); }, [&] {}});
+  EXPECT_TRUE(done);
 }
 
 TEST_F(ExosNetTest, MalformedFramesAreDroppedByLibrary) {

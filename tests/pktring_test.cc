@@ -1,18 +1,16 @@
 // Zero-copy packet rings: ring-view geometry, kernel deposit/doorbell/
 // drop semantics, TX batching, packet-syscall error paths, crash-safe
 // teardown with an environment killed mid-drain, and the ExOS ring-mode
-// UDP/RDP sockets end to end (including over a lossy wire).
+// UDP sockets end to end.
 #include "src/net/pktring.h"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "src/core/aegis.h"
 #include "src/dpf/tcpip_filters.h"
 #include "src/exos/process.h"
-#include "src/exos/rdp.h"
 #include "src/exos/udp.h"
 #include "src/hw/nic.h"
 #include "src/hw/world.h"
@@ -746,56 +744,6 @@ TEST_F(PktRingExosTest, QueueToBatchesFramesIntoOneDoorbell) {
   RunWorld();
   EXPECT_EQ(tx_after - tx_before, 5u);
   EXPECT_EQ(seen, (std::vector<uint8_t>{0, 1, 2, 3, 4}));
-}
-
-TEST_F(PktRingExosTest, RdpOverRingsRecoversFromLoss) {
-  wire_.SetLossRate(100);
-  constexpr int kMessages = 12;
-  std::vector<std::vector<uint8_t>> received;
-  uint64_t retransmissions = 0;
-  bool sender_ok = false;
-  Process sender(kernel_a_, [&](Process& p) {
-    exos::UdpSocket socket(p, IfaceA());
-    ASSERT_EQ(socket.BindRing(100), Status::kOk);
-    exos::RdpEndpoint rdp(p, socket, exos::RdpEndpoint::Config{.peer_ip = 2, .peer_port = 200});
-    p.kernel().SysSleep(hw::kClockHz / 100);
-    for (int i = 0; i < kMessages; ++i) {
-      std::vector<uint8_t> payload(1 + (i % 16));
-      std::iota(payload.begin(), payload.end(), static_cast<uint8_t>(i));
-      ASSERT_EQ(rdp.Send(payload), Status::kOk);
-    }
-    retransmissions = rdp.retransmissions();
-    sender_ok = true;
-  });
-  Process receiver(kernel_b_, [&](Process& p) {
-    exos::UdpSocket socket(p, IfaceB());
-    ASSERT_EQ(socket.BindRing(200), Status::kOk);
-    exos::RdpEndpoint rdp(p, socket, exos::RdpEndpoint::Config{.peer_ip = 1, .peer_port = 100});
-    for (int i = 0; i < kMessages; ++i) {
-      Result<std::vector<uint8_t>> msg = rdp.Recv();
-      ASSERT_TRUE(msg.ok());
-      received.push_back(*msg);
-    }
-    // Grace period: re-ACK retransmissions until the sender goes quiet
-    // (PumpAcks batches those ACKs through the TX ring).
-    for (int round = 0; round < 16; ++round) {
-      p.kernel().SysSleep(hw::kClockHz / 500);
-      rdp.PumpAcks();
-    }
-  });
-  ASSERT_TRUE(sender.ok());
-  ASSERT_TRUE(receiver.ok());
-  RunWorld();
-  EXPECT_TRUE(sender_ok);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) {
-    ASSERT_EQ(received[i].size(), static_cast<size_t>(1 + (i % 16))) << "message " << i;
-    for (size_t j = 0; j < received[i].size(); ++j) {
-      ASSERT_EQ(received[i][j], static_cast<uint8_t>(i + j)) << "message " << i;
-    }
-  }
-  EXPECT_GT(wire_.frames_lost(), 0u);  // The loss injection really fired.
-  (void)retransmissions;
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "src/dpf/dpf.h"
 #include "src/dpf/tcpip_filters.h"
-#include "src/exos/rdp.h"
 #include "src/exos/server/loadgen.h"
 #include "src/exos/tracelib.h"
 #include "src/hw/disk.h"
@@ -623,63 +622,6 @@ TEST(KvServerTest, TwoWorkerShardSplitStarvesCatchAll) {
   }
   // Acked 200s = data GETs + the two QUITs; the workers saw every one.
   EXPECT_GE(total_gets + 2, stats.ok_200);
-  EXPECT_EQ(rig.kernel.audit_failures(), 0u) << rig.kernel.first_audit_failure();
-}
-
-// The same HTTP text over the application-level reliable transport: the
-// parser sees delivered bytes, not a transport (tentpole: "HTTP over RDP").
-TEST(RdpHttpTest, HttpRequestOverRdpRoundTrip) {
-  Rig rig(/*cpus=*/1, /*phys_pages=*/512, /*disk_blocks=*/64);
-  bool served = false;
-  Process http_server(rig.kernel, [&](Process& p) {
-    UdpSocket sock(p, ServerIface());
-    ASSERT_EQ(sock.Bind(7300), Status::kOk);
-    RdpEndpoint rdp(p, sock, RdpEndpoint::Config{.peer_ip = 2, .peer_port = 7301});
-    Result<std::vector<uint8_t>> msg = rdp.Recv();
-    ASSERT_TRUE(msg.ok());
-    ASSERT_GE(msg->size(), kReqHeaderBytes);
-    const uint32_t req_id = net::GetBe32(*msg, 1);
-    HttpRequest req;
-    ASSERT_EQ(ParseHttpRequest({msg->data() + kReqHeaderBytes,
-                                msg->size() - kReqHeaderBytes}, &req),
-              ParseError::kOk);
-    EXPECT_EQ(req.method, Method::kGet);
-    EXPECT_EQ(req.key, "alpha");
-    const std::string text = BuildHttpResponse(200, "hello over rdp");
-    std::vector<uint8_t> resp(kRespHeaderBytes + text.size());
-    net::PutBe32(resp, 0, req_id);
-    std::copy(text.begin(), text.end(), resp.begin() + kRespHeaderBytes);
-    ASSERT_EQ(rdp.Send(resp), Status::kOk);
-    // Two-generals tail: re-ACK retransmissions for a grace period.
-    for (int i = 0; i < 4; ++i) {
-      rdp.PumpAcks();
-      p.kernel().SysSleep(5'000);
-    }
-    served = true;
-  });
-  bool answered = false;
-  Process http_client(rig.kernel, [&](Process& p) {
-    UdpSocket sock(p, ClientIface());
-    ASSERT_EQ(sock.Bind(7301), Status::kOk);
-    p.kernel().SysSleep(10'000);  // Let the server bind first.
-    RdpEndpoint rdp(p, sock, RdpEndpoint::Config{.peer_ip = 1, .peer_port = 7300});
-    const auto payload = BuildRequestPayload(77, BuildGetRequest("alpha"), "alpha");
-    ASSERT_EQ(rdp.Send(payload), Status::kOk);
-    Result<std::vector<uint8_t>> reply = rdp.Recv();
-    ASSERT_TRUE(reply.ok());
-    HttpResponseView view;
-    ASSERT_TRUE(ParseResponsePayload(*reply, &view));
-    EXPECT_EQ(view.req_id, 77u);
-    EXPECT_EQ(view.status, 200);
-    EXPECT_EQ(view.body, "hello over rdp");
-    EXPECT_TRUE(view.sum_ok);
-    answered = true;
-  });
-  ASSERT_TRUE(http_server.ok());
-  ASSERT_TRUE(http_client.ok());
-  rig.kernel.Run();
-  EXPECT_TRUE(served);
-  EXPECT_TRUE(answered);
   EXPECT_EQ(rig.kernel.audit_failures(), 0u) << rig.kernel.first_audit_failure();
 }
 
