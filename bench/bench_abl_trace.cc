@@ -35,12 +35,18 @@ std::vector<aegis::PageGrant> Arm(aegis::Aegis& kernel, uint32_t mask) {
   return pages;
 }
 
-uint64_t MeasureSysNull(aegis::Aegis& kernel, hw::Machine& machine) {
+// Simulated cycles per call of `fn`, averaged over a fixed kIters.
+template <typename Fn>
+uint64_t PerOp(hw::Machine& machine, Fn&& fn) {
   const uint64_t t0 = machine.clock().now();
   for (int i = 0; i < kIters; ++i) {
-    kernel.SysNull();
+    fn();
   }
   return (machine.clock().now() - t0) / kIters;
+}
+
+uint64_t MeasureSysNull(aegis::Aegis& kernel, hw::Machine& machine) {
+  return PerOp(machine, [&] { kernel.SysNull(); });
 }
 
 struct Numbers {
@@ -108,50 +114,44 @@ void PrintPaperTables() {
               overhead_all < 10.0 ? "within" : "EXCEEDS");
 }
 
+// Wall time comes from google-benchmark's loop; sim_us is the fixed-kIters
+// per-call value, so it does not depend on the chosen iteration count.
 void BM_SysNullDisarmed(benchmark::State& state) {
   uint64_t sim = 0;
-  uint64_t n = 0;
   RunOnAegis([&](aegis::Aegis& kernel, hw::Machine& machine) {
     (void)kernel.SysUnbindTraceRing();  // "Disarmed" must mean disarmed.
-    const uint64_t t0 = machine.clock().now();
+    sim = MeasureSysNull(kernel, machine);
     for (auto _ : state) {
       kernel.SysNull();
-      ++n;
     }
-    sim = machine.clock().now() - t0;
   });
-  state.counters["sim_us"] = n > 0 ? Us(sim) / static_cast<double>(n) : 0;
+  state.counters["sim_us"] = Us(sim);
 }
 BENCHMARK(BM_SysNullDisarmed);
 
 void BM_SysNullArmed(benchmark::State& state) {
   uint64_t sim = 0;
-  uint64_t n = 0;
   RunOnAegis([&](aegis::Aegis& kernel, hw::Machine& machine) {
     (void)Arm(kernel, xtrace::kMaskAll);
-    const uint64_t t0 = machine.clock().now();
+    sim = MeasureSysNull(kernel, machine);
     for (auto _ : state) {
       kernel.SysNull();
-      ++n;
     }
-    sim = machine.clock().now() - t0;
   });
-  state.counters["sim_us"] = n > 0 ? Us(sim) / static_cast<double>(n) : 0;
+  state.counters["sim_us"] = Us(sim);
 }
 BENCHMARK(BM_SysNullArmed);
 
 void BM_EnvStats(benchmark::State& state) {
   uint64_t sim = 0;
-  uint64_t n = 0;
   RunOnAegis([&](aegis::Aegis& kernel, hw::Machine& machine) {
-    const uint64_t t0 = machine.clock().now();
+    const auto stats = [&] { benchmark::DoNotOptimize(kernel.SysEnvStats(kernel.SysSelf())); };
+    sim = PerOp(machine, stats);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(kernel.SysEnvStats(kernel.SysSelf()));
-      ++n;
+      stats();
     }
-    sim = machine.clock().now() - t0;
   });
-  state.counters["sim_us"] = n > 0 ? Us(sim) / static_cast<double>(n) : 0;
+  state.counters["sim_us"] = Us(sim);
 }
 BENCHMARK(BM_EnvStats);
 

@@ -126,32 +126,21 @@ void Cpu::Charge(uint64_t cycles) {
 }
 
 void Cpu::WaitForInterrupt() {
-  for (;;) {
-    if (interrupts_enabled_ && DeliverDue()) {
-      return;
-    }
-    if (machine_.world_ == nullptr) {
-      // Outside any World: nothing else can run, so jump to the next event.
-      const uint64_t next = NextDueCycle();
-      if (next == ~0ULL) {
-        std::fprintf(stderr, "xok: machine %s idle with no pending events (hang)\n",
-                     machine_.config_.name);
-        std::abort();
-      }
-      clock_.AdvanceTo(next);
-      continue;
-    }
-    machine_.world_->ParkCurrent();
-    if (machine_.smp_running_) {
-      // Resumed: either the world advanced our clock to a due event, or
-      // this is a spurious wake so the kernel loop can re-check whether
-      // it still has anything to run.
-      if (interrupts_enabled_) {
-        DeliverDue();
-      }
-      return;
-    }
-    // Plain machine body: re-check for due events.
+  if (interrupts_enabled_ && DeliverDue()) {
+    return;
+  }
+  if (machine_.world_ == nullptr) {
+    std::fprintf(stderr,
+                 "xok: machine %s: WaitForInterrupt outside any World "
+                 "(run the kernel loop under RunCpus)\n",
+                 machine_.config_.name);
+    std::abort();
+  }
+  // Resumed either at a due event (the world advanced this clock to it) or
+  // spuriously, so the caller's loop can re-check its run condition.
+  machine_.world_->ParkCurrent();
+  if (interrupts_enabled_) {
+    DeliverDue();
   }
 }
 

@@ -5,7 +5,7 @@
 // Execution model: application and kernel code are ordinary C++ running on
 // fibers. Simulated time advances only through Charge(); asynchronous
 // interrupts (timer, NIC, disk, IPI) are delivered at charge boundaries or
-// when a CPU idles in WaitForInterrupt(). Synchronous exceptions (TLB miss,
+// when a CPU parks in WaitForInterrupt(). Synchronous exceptions (TLB miss,
 // protection, unaligned, overflow, coprocessor) are raised by the memory and
 // ALU access methods and vector immediately to the installed kernel.
 //
@@ -19,7 +19,9 @@
 // globally lowest local clock executes next, ties broken by
 // (machine_index, cpu_index), so runs are deterministic. The machine body
 // runs as CPU 0. A machine constructed without a World runs RunCpus as the
-// only machine of a private one-machine World.
+// only machine of a private one-machine World, so every kernel loop idles
+// the same way: parked on a World, whose scheduler alone moves an idle
+// clock forward.
 #ifndef XOK_SRC_HW_MACHINE_H_
 #define XOK_SRC_HW_MACHINE_H_
 
@@ -167,7 +169,7 @@ class Cpu {
   std::priority_queue<PendingEvent, std::vector<PendingEvent>, std::greater<>> events_;
   uint64_t event_seq_ = 0;
 
-  bool parked_ = false;  // In WaitForInterrupt inside RunCpus, waiting on the World.
+  bool parked_ = false;  // In WaitForInterrupt, waiting on the World.
 };
 
 class Machine {
@@ -205,7 +207,7 @@ class Machine {
   // Highest local cycle count across CPUs: the wall-clock of an SMP run.
   uint64_t MaxCpuCycle() const;
 
-  // True if `cpu` is parked in WaitForInterrupt inside RunCpus.
+  // True if `cpu` is parked in WaitForInterrupt.
   // Kernels use this to decide whether a cross-CPU wake needs an IPI kick
   // (a busy CPU will rescan on its own; a parked one sleeps until an event).
   bool CpuParked(uint32_t index) const;
@@ -231,12 +233,12 @@ class Machine {
   Result<int32_t> AddOverflow(int32_t a, int32_t b);  // Signed add, traps on overflow.
   Status CoprocOp();                                  // FP op; traps if coproc disabled.
 
-  // Parks the executing CPU until an interrupt is delivered. Inside a World
-  // (including RunCpus on a standalone machine), control passes to other
-  // contexts; a RunCpus CPU resumed without a due event returns so its
-  // kernel loop can re-check its run condition. Outside any World — a
-  // kernel loop driven directly by the host — the clock jumps to the next
-  // local event (aborts if there is none — that would be a hang).
+  // Delivers whatever is due; if nothing is, parks the executing CPU once
+  // on the World and, when resumed, delivers what has come due and
+  // returns. A resume with nothing to deliver is a spurious wake: callers
+  // loop and re-check their run condition. Must run on a World context
+  // (inside World::Run, or RunCpus on a standalone machine); aborts
+  // otherwise.
   void WaitForInterrupt();
 
   // Runs one body per CPU, interleaved at charge boundaries so that the CPU
@@ -279,7 +281,7 @@ class Machine {
 
   std::vector<std::unique_ptr<Cpu>> cpus_;
   Cpu* active_ = nullptr;      // The CPU whose code is executing now.
-  bool smp_running_ = false;   // Inside RunCpus.
+  bool smp_running_ = false;   // Inside RunCpus (its reentrancy guard).
 };
 
 }  // namespace xok::hw

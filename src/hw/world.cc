@@ -36,13 +36,13 @@ void World::Schedule() {
   // Lowest-local-clock-first over every context of every machine: among
   // ready contexts pick the one whose clock is furthest behind; wake a
   // parked context instead when its next event is due no later than every
-  // ready context's present, advancing its clock to the due cycle. Ties
-  // break by (machine_index, cpu_index) — attach order — so runs are
-  // deterministic. When nothing is ready and nothing is due, sweep the
-  // parked RunCpus contexts with spurious wakes so their kernel loops can
-  // observe a global exit condition; if a full sweep changes nothing the
-  // world quiesces, returning with any still-parked bodies abandoned (the
-  // longstanding single-CPU world contract).
+  // ready context's present, advancing its clock to the due cycle (the
+  // only place idle time passes). Ties break by (machine_index,
+  // cpu_index) — attach order — so runs are deterministic. When nothing is
+  // ready and nothing is due, sweep every parked context with a spurious
+  // wake so its loop can observe a global exit condition; if a full sweep
+  // changes nothing the world quiesces, returning with any still-parked
+  // bodies abandoned.
   bool swept = false;
   for (;;) {
     // One pass picks the next context and, by keeping the two smallest
@@ -100,13 +100,11 @@ void World::Schedule() {
     }
     swept = true;
     const uint64_t epoch = progress_epoch_;
-    // Only CPUs inside RunCpus: their kernel loops re-check run conditions
-    // on spurious wakes. Plain bodies inside WaitForInterrupt would just
-    // re-park without being able to make progress. A CPU 0 leaving RunCpus
-    // erases its siblings' contexts, so walk a snapshot.
+    // A CPU 0 leaving RunCpus erases its siblings' contexts, so walk a
+    // snapshot.
     std::vector<Ctx*> sweep;
     for (const std::unique_ptr<Ctx>& ctx : ctxs_) {
-      if (ctx->state == CtxState::kParked && ctx->machine->smp_running_) {
+      if (ctx->state == CtxState::kParked) {
         sweep.push_back(ctx.get());
       }
     }
@@ -143,7 +141,7 @@ void World::ParkCurrent() {
   }
   Ctx* ctx = running_;
   ctx->state = CtxState::kParked;
-  ctx->cpu->parked_ = ctx->machine->smp_running_;  // CpuParked reports RunCpus CPUs only.
+  ctx->cpu->parked_ = true;
   Fiber::Switch(*ctx->fiber, world_fiber_);
 }
 

@@ -63,8 +63,8 @@ class World {
 
   // Saves the running context and re-enters the scheduler.
   void YieldCurrent();  // Stays ready: resumed by clock order.
-  void ParkCurrent();   // Sleeps: resumed by a due event (or spuriously —
-                        //   only CPUs inside RunCpus tolerate spurious wakes).
+  void ParkCurrent();   // Sleeps: resumed by a due event, or spuriously by
+                        //   the quiescence sweep.
 
   // An event due at `due` was queued on `cpu`: lower the due-event cache if
   // that CPU's context is parked, so a running context's next charge can

@@ -60,33 +60,36 @@ void Ultrix::SwitchToKernel() {
 }
 
 void Ultrix::Run() {
-  while (live_ > 0) {
-    Pid next = kNoPid;
-    while (!runqueue_.empty()) {
-      const Pid candidate = runqueue_.front();
-      runqueue_.pop_front();
-      Proc* proc = Find(candidate);
-      if (proc != nullptr && proc->state == ProcState::kRunnable) {
-        next = candidate;
-        break;
+  machine_.RunCpus({[this] {
+    while (live_ > 0) {
+      Pid next = kNoPid;
+      while (!runqueue_.empty()) {
+        const Pid candidate = runqueue_.front();
+        runqueue_.pop_front();
+        Proc* proc = Find(candidate);
+        if (proc != nullptr && proc->state == ProcState::kRunnable) {
+          next = candidate;
+          break;
+        }
       }
+      if (next == kNoPid) {
+        priv_.ClearSliceDeadline();
+        machine_.WaitForInterrupt();
+        // Interrupt handlers may have woken someone, or the wake was
+        // spurious; loop around.
+        continue;
+      }
+      Proc& proc = *Find(next);
+      priv_.SetAsid(proc.asid);
+      priv_.SetSliceDeadline(machine_.clock().now() + kQuantumCycles);
+      current_ = next;
+      priv_.SwapTrapDepth(proc.saved_trap_depth);
+      hw::Fiber::Switch(kernel_fiber_, *proc.fiber);
+      priv_.SwapTrapDepth(0);
+      current_ = kNoPid;
     }
-    if (next == kNoPid) {
-      priv_.ClearSliceDeadline();
-      machine_.WaitForInterrupt();
-      // Interrupt handlers may have woken someone; loop around.
-      continue;
-    }
-    Proc& proc = *Find(next);
-    priv_.SetAsid(proc.asid);
-    priv_.SetSliceDeadline(machine_.clock().now() + kQuantumCycles);
-    current_ = next;
-    priv_.SwapTrapDepth(proc.saved_trap_depth);
-    hw::Fiber::Switch(kernel_fiber_, *proc.fiber);
-    priv_.SwapTrapDepth(0);
-    current_ = kNoPid;
-  }
-  priv_.ClearSliceDeadline();
+    priv_.ClearSliceDeadline();
+  }});
 }
 
 // --- Basic syscalls ---

@@ -60,7 +60,8 @@ class Ultrix final : public hw::TrapSink {
 
   // Creates a process; `main` runs when first scheduled.
   Result<Pid> CreateProcess(std::function<void()> main);
-  // Scheduler loop; returns when every process has exited.
+  // Scheduler loop, run as the machine's only CPU under RunCpus; returns
+  // when every process has exited.
   void Run();
 
   hw::Machine& machine() { return machine_; }

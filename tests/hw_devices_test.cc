@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -36,6 +37,10 @@ class DeviceTest : public ::testing::Test {
         fb_(machine_, 64, 48),
         disk_(machine_, 128) {}
 
+  // Runs `body` as the machine's CPU, so WaitForInterrupt can park on the
+  // World that RunCpus provides.
+  void RunOnCpu(std::function<void()> body) { machine_.RunCpus({std::move(body)}); }
+
   Machine machine_;
   RecordingKernel kernel_;
   Framebuffer fb_;
@@ -67,33 +72,37 @@ TEST_F(DeviceTest, FramebufferBoundsChecked) {
 }
 
 TEST_F(DeviceTest, DiskWriteThenReadRoundTrips) {
-  // Fill frame 2 with a pattern, write it to block 5, clear, read back.
-  auto frame = machine_.mem().PageSpan(2);
-  for (size_t i = 0; i < frame.size(); ++i) {
-    frame[i] = static_cast<uint8_t>(i * 3);
-  }
-  Result<uint64_t> write_id = disk_.SubmitWrite(5, 2);
-  ASSERT_TRUE(write_id.ok());
-  machine_.WaitForInterrupt();
-  ASSERT_EQ(kernel_.events.size(), 1u);
-  EXPECT_EQ(kernel_.events[0].second, *write_id);
-  ASSERT_TRUE(disk_.Complete(*write_id).ok());
+  RunOnCpu([&] {
+    // Fill frame 2 with a pattern, write it to block 5, clear, read back.
+    auto frame = machine_.mem().PageSpan(2);
+    for (size_t i = 0; i < frame.size(); ++i) {
+      frame[i] = static_cast<uint8_t>(i * 3);
+    }
+    Result<uint64_t> write_id = disk_.SubmitWrite(5, 2);
+    ASSERT_TRUE(write_id.ok());
+    machine_.WaitForInterrupt();
+    ASSERT_EQ(kernel_.events.size(), 1u);
+    EXPECT_EQ(kernel_.events[0].second, *write_id);
+    ASSERT_TRUE(disk_.Complete(*write_id).ok());
 
-  std::fill(frame.begin(), frame.end(), uint8_t{0});
-  Result<uint64_t> read_id = disk_.SubmitRead(5, 2);
-  ASSERT_TRUE(read_id.ok());
-  machine_.WaitForInterrupt();
-  ASSERT_TRUE(disk_.Complete(*read_id).ok());
-  for (size_t i = 0; i < frame.size(); ++i) {
-    ASSERT_EQ(frame[i], static_cast<uint8_t>(i * 3)) << "byte " << i;
-  }
+    std::fill(frame.begin(), frame.end(), uint8_t{0});
+    Result<uint64_t> read_id = disk_.SubmitRead(5, 2);
+    ASSERT_TRUE(read_id.ok());
+    machine_.WaitForInterrupt();
+    ASSERT_TRUE(disk_.Complete(*read_id).ok());
+    for (size_t i = 0; i < frame.size(); ++i) {
+      ASSERT_EQ(frame[i], static_cast<uint8_t>(i * 3)) << "byte " << i;
+    }
+  });
 }
 
 TEST_F(DeviceTest, DiskCompletionTakesAccessLatency) {
-  const uint64_t before = machine_.clock().now();
-  ASSERT_TRUE(disk_.SubmitRead(0, 0).ok());
-  machine_.WaitForInterrupt();
-  EXPECT_GE(machine_.clock().now() - before, kDiskAccessCycles);
+  RunOnCpu([&] {
+    const uint64_t before = machine_.clock().now();
+    ASSERT_TRUE(disk_.SubmitRead(0, 0).ok());
+    machine_.WaitForInterrupt();
+    EXPECT_GE(machine_.clock().now() - before, kDiskAccessCycles);
+  });
 }
 
 TEST_F(DeviceTest, DiskRejectsOutOfRange) {
@@ -119,14 +128,16 @@ size_t ResidentHostPages(std::span<uint8_t> bytes) {
 }
 
 TEST_F(DeviceTest, NeverWrittenBlockOfAFreshDiskReadsZero) {
-  Disk fresh(machine_, 1024);
-  auto frame = machine_.mem().PageSpan(3);
-  std::fill(frame.begin(), frame.end(), uint8_t{0xa5});
-  Result<uint64_t> id = fresh.SubmitRead(1000, 3);
-  ASSERT_TRUE(id.ok());
-  machine_.WaitForInterrupt();
-  ASSERT_TRUE(fresh.Complete(*id).ok());
-  EXPECT_TRUE(std::all_of(frame.begin(), frame.end(), [](uint8_t b) { return b == 0; }));
+  RunOnCpu([&] {
+    Disk fresh(machine_, 1024);
+    auto frame = machine_.mem().PageSpan(3);
+    std::fill(frame.begin(), frame.end(), uint8_t{0xa5});
+    Result<uint64_t> id = fresh.SubmitRead(1000, 3);
+    ASSERT_TRUE(id.ok());
+    machine_.WaitForInterrupt();
+    ASSERT_TRUE(fresh.Complete(*id).ok());
+    EXPECT_TRUE(std::all_of(frame.begin(), frame.end(), [](uint8_t b) { return b == 0; }));
+  });
 }
 
 TEST(MappingTest, DiskSizedMappingBacksOnlyWrittenPages) {
@@ -169,75 +180,81 @@ class DiskDurabilityTest : public DeviceTest {
 };
 
 TEST_F(DiskDurabilityTest, WriteIsAcknowledgedButNotDurableUntilBarrier) {
-  FillFrame(2, 1);
-  ASSERT_TRUE(Retire(disk_.SubmitWrite(5, 2)).ok());
-  EXPECT_EQ(disk_.buffered_blocks(), 1u);
+  RunOnCpu([&] {
+    FillFrame(2, 1);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(5, 2)).ok());
+    EXPECT_EQ(disk_.buffered_blocks(), 1u);
 
-  // The platter still has the old (zero) contents...
-  std::vector<uint8_t> image = disk_.TakeImage();
-  EXPECT_EQ(image[5 * kPageBytes], 0u);
-  // ...but a read sees the acknowledged write (read-your-writes).
-  auto frame3 = machine_.mem().PageSpan(3);
-  ASSERT_TRUE(Retire(disk_.SubmitRead(5, 3)).ok());
-  EXPECT_EQ(frame3[0], static_cast<uint8_t>(1));
+    // The platter still has the old (zero) contents...
+    std::vector<uint8_t> image = disk_.TakeImage();
+    EXPECT_EQ(image[5 * kPageBytes], 0u);
+    // ...but a read sees the acknowledged write (read-your-writes).
+    auto frame3 = machine_.mem().PageSpan(3);
+    ASSERT_TRUE(Retire(disk_.SubmitRead(5, 3)).ok());
+    EXPECT_EQ(frame3[0], static_cast<uint8_t>(1));
 
-  Result<Disk::Completion> barrier = Retire(disk_.SubmitBarrier());
-  ASSERT_TRUE(barrier.ok());
-  EXPECT_TRUE(barrier->barrier);
-  EXPECT_EQ(disk_.buffered_blocks(), 0u);
-  EXPECT_EQ(disk_.barriers_completed(), 1u);
-  EXPECT_EQ(disk_.blocks_made_durable(), 1u);
-  image = disk_.TakeImage();
-  EXPECT_EQ(image[5 * kPageBytes], static_cast<uint8_t>(1));
+    Result<Disk::Completion> barrier = Retire(disk_.SubmitBarrier());
+    ASSERT_TRUE(barrier.ok());
+    EXPECT_TRUE(barrier->barrier);
+    EXPECT_EQ(disk_.buffered_blocks(), 0u);
+    EXPECT_EQ(disk_.barriers_completed(), 1u);
+    EXPECT_EQ(disk_.blocks_made_durable(), 1u);
+    image = disk_.TakeImage();
+    EXPECT_EQ(image[5 * kPageBytes], static_cast<uint8_t>(1));
+  });
 }
 
 TEST_F(DiskDurabilityTest, PowerCutLosesUnbarrieredWrites) {
-  FillFrame(2, 9);
-  ASSERT_TRUE(Retire(disk_.SubmitWrite(7, 2)).ok());
-  disk_.PowerCut();
-  EXPECT_TRUE(disk_.powered_off());
-  EXPECT_EQ(disk_.buffered_blocks(), 0u);
-  // The acknowledged-but-unbarriered write never reached the platter.
-  std::vector<uint8_t> image = disk_.TakeImage();
-  for (size_t i = 0; i < kPageBytes; ++i) {
-    ASSERT_EQ(image[7 * kPageBytes + i], 0u) << "byte " << i;
-  }
-  // A dead device refuses further requests.
-  EXPECT_EQ(disk_.SubmitRead(0, 0).status(), Status::kErrBadState);
-  EXPECT_EQ(disk_.SubmitBarrier().status(), Status::kErrBadState);
+  RunOnCpu([&] {
+    FillFrame(2, 9);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(7, 2)).ok());
+    disk_.PowerCut();
+    EXPECT_TRUE(disk_.powered_off());
+    EXPECT_EQ(disk_.buffered_blocks(), 0u);
+    // The acknowledged-but-unbarriered write never reached the platter.
+    std::vector<uint8_t> image = disk_.TakeImage();
+    for (size_t i = 0; i < kPageBytes; ++i) {
+      ASSERT_EQ(image[7 * kPageBytes + i], 0u) << "byte " << i;
+    }
+    // A dead device refuses further requests.
+    EXPECT_EQ(disk_.SubmitRead(0, 0).status(), Status::kErrBadState);
+    EXPECT_EQ(disk_.SubmitBarrier().status(), Status::kErrBadState);
+  });
 }
 
 TEST_F(DiskDurabilityTest, PowerCutTornWriteLandsPrefixOfNewWords) {
-  // Barrier an "old" pattern home first, then buffer a "new" pattern and
-  // cut power with the torn-write channel certain to fire.
-  FillFrame(2, 10);
-  ASSERT_TRUE(Retire(disk_.SubmitWrite(9, 2)).ok());
-  ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
-  FillFrame(2, 200);
-  ASSERT_TRUE(Retire(disk_.SubmitWrite(9, 2)).ok());
+  RunOnCpu([&] {
+    // Barrier an "old" pattern home first, then buffer a "new" pattern and
+    // cut power with the torn-write channel certain to fire.
+    FillFrame(2, 10);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(9, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    FillFrame(2, 200);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(9, 2)).ok());
 
-  FaultPlan plan;
-  plan.seed = 77;
-  plan.disk_torn_per_mille = 1000;
-  FaultInjector injector(plan);
-  disk_.set_fault_injector(&injector);
-  disk_.PowerCut();
-  EXPECT_EQ(injector.blocks_torn(), 1u);
+    FaultPlan plan;
+    plan.seed = 77;
+    plan.disk_torn_per_mille = 1000;
+    FaultInjector injector(plan);
+    disk_.set_fault_injector(&injector);
+    disk_.PowerCut();
+    EXPECT_EQ(injector.blocks_torn(), 1u);
 
-  // The block must now be a word-aligned prefix of the new pattern with
-  // the old pattern beyond it — never a complete new block.
-  std::vector<uint8_t> image = disk_.TakeImage();
-  const uint8_t* block = &image[9 * kPageBytes];
-  size_t boundary = 0;
-  while (boundary < kPageBytes && block[boundary] == static_cast<uint8_t>(boundary * 3 + 200)) {
-    ++boundary;
-  }
-  EXPECT_GT(boundary, 0u);
-  EXPECT_LT(boundary, kPageBytes);
-  EXPECT_EQ(boundary % 4, 0u);
-  for (size_t i = boundary; i < kPageBytes; ++i) {
-    ASSERT_EQ(block[i], static_cast<uint8_t>(i * 3 + 10)) << "byte " << i;
-  }
+    // The block must now be a word-aligned prefix of the new pattern with
+    // the old pattern beyond it — never a complete new block.
+    std::vector<uint8_t> image = disk_.TakeImage();
+    const uint8_t* block = &image[9 * kPageBytes];
+    size_t boundary = 0;
+    while (boundary < kPageBytes && block[boundary] == static_cast<uint8_t>(boundary * 3 + 200)) {
+      ++boundary;
+    }
+    EXPECT_GT(boundary, 0u);
+    EXPECT_LT(boundary, kPageBytes);
+    EXPECT_EQ(boundary % 4, 0u);
+    for (size_t i = boundary; i < kPageBytes; ++i) {
+      ASSERT_EQ(block[i], static_cast<uint8_t>(i * 3 + 10)) << "byte " << i;
+    }
+  });
 }
 
 TEST(FaultInjectorTest, ScheduledDiskErrorFiresOnceWithoutADraw) {
@@ -261,41 +278,45 @@ TEST(FaultInjectorTest, ScheduledDiskErrorFiresOnceWithoutADraw) {
 }
 
 TEST_F(DiskDurabilityTest, RestoreImageBootsOverSurvivingPlatter) {
-  FillFrame(2, 33);
-  ASSERT_TRUE(Retire(disk_.SubmitWrite(4, 2)).ok());
-  ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
-  const std::vector<uint8_t> image = disk_.TakeImage();
+  RunOnCpu([&] {
+    FillFrame(2, 33);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(4, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    const std::vector<uint8_t> image = disk_.TakeImage();
 
-  Disk reborn(machine_, 128);
-  EXPECT_EQ(reborn.RestoreImage(std::vector<uint8_t>(16)), Status::kErrInvalidArgs);
-  ASSERT_EQ(reborn.RestoreImage(image), Status::kOk);
-  EXPECT_FALSE(reborn.powered_off());
-  auto frame3 = machine_.mem().PageSpan(3);
-  std::fill(frame3.begin(), frame3.end(), uint8_t{0});
-  Result<uint64_t> id = reborn.SubmitRead(4, 3);
-  ASSERT_TRUE(id.ok());
-  machine_.WaitForInterrupt();
-  ASSERT_TRUE(reborn.Complete(*id).ok());
-  EXPECT_EQ(frame3[0], static_cast<uint8_t>(33));
+    Disk reborn(machine_, 128);
+    EXPECT_EQ(reborn.RestoreImage(std::vector<uint8_t>(16)), Status::kErrInvalidArgs);
+    ASSERT_EQ(reborn.RestoreImage(image), Status::kOk);
+    EXPECT_FALSE(reborn.powered_off());
+    auto frame3 = machine_.mem().PageSpan(3);
+    std::fill(frame3.begin(), frame3.end(), uint8_t{0});
+    Result<uint64_t> id = reborn.SubmitRead(4, 3);
+    ASSERT_TRUE(id.ok());
+    machine_.WaitForInterrupt();
+    ASSERT_TRUE(reborn.Complete(*id).ok());
+    EXPECT_EQ(frame3[0], static_cast<uint8_t>(33));
+  });
 }
 
 TEST_F(DiskDurabilityTest, CancelIfSparesBarrierRequests) {
-  FillFrame(2, 5);
-  Result<uint64_t> write_id = disk_.SubmitWrite(3, 2);
-  Result<uint64_t> barrier_id = disk_.SubmitBarrier();
-  ASSERT_TRUE(write_id.ok());
-  ASSERT_TRUE(barrier_id.ok());
-  // Teardown cancels every request touching frame 2 — the barrier (which
-  // has no DMA frame) must survive it.
-  const std::vector<uint64_t> cancelled = disk_.CancelIf([](PageId frame) { return frame == 2; });
-  ASSERT_EQ(cancelled.size(), 1u);
-  EXPECT_EQ(cancelled[0], *write_id);
-  machine_.WaitForInterrupt();
-  machine_.WaitForInterrupt();
-  EXPECT_FALSE(disk_.Complete(*write_id).ok());    // Cancelled.
-  Result<Disk::Completion> barrier = disk_.Complete(*barrier_id);
-  ASSERT_TRUE(barrier.ok());
-  EXPECT_TRUE(barrier->barrier);
+  RunOnCpu([&] {
+    FillFrame(2, 5);
+    Result<uint64_t> write_id = disk_.SubmitWrite(3, 2);
+    Result<uint64_t> barrier_id = disk_.SubmitBarrier();
+    ASSERT_TRUE(write_id.ok());
+    ASSERT_TRUE(barrier_id.ok());
+    // Teardown cancels every request touching frame 2 — the barrier (which
+    // has no DMA frame) must survive it.
+    const std::vector<uint64_t> cancelled = disk_.CancelIf([](PageId frame) { return frame == 2; });
+    ASSERT_EQ(cancelled.size(), 1u);
+    EXPECT_EQ(cancelled[0], *write_id);
+    machine_.WaitForInterrupt();
+    machine_.WaitForInterrupt();
+    EXPECT_FALSE(disk_.Complete(*write_id).ok());    // Cancelled.
+    Result<Disk::Completion> barrier = disk_.Complete(*barrier_id);
+    ASSERT_TRUE(barrier.ok());
+    EXPECT_TRUE(barrier->barrier);
+  });
 }
 
 }  // namespace

@@ -221,11 +221,26 @@ TEST_F(MachineTest, InterruptsMaskedWhileDisabled) {
 }
 
 TEST_F(MachineTest, WaitForInterruptAdvancesToNextEvent) {
-  kernel_.priv_.ScheduleEvent(12345, InterruptSource::kDiskDone, 5);
-  const uint64_t before = machine_.clock().now();
-  machine_.WaitForInterrupt();
-  EXPECT_GE(machine_.clock().now(), before + 12345);
-  ASSERT_EQ(kernel_.interrupts.size(), 1u);
+  machine_.RunCpus({[&] {
+    kernel_.priv_.ScheduleEvent(12345, InterruptSource::kDiskDone, 5);
+    const uint64_t before = machine_.clock().now();
+    machine_.WaitForInterrupt();
+    EXPECT_GE(machine_.clock().now(), before + 12345);
+    ASSERT_EQ(kernel_.interrupts.size(), 1u);
+  }});
+}
+
+TEST(MachineDeathTest, WaitForInterruptOutsideAnyWorldAborts) {
+  // Only a World advances an idle clock: a host-driven wait, outside
+  // RunCpus and World::Run, is a misuse of the machine.
+  EXPECT_DEATH(
+      {
+        Machine machine(Machine::Config{.phys_pages = 16, .name = "bare"});
+        FakeKernel kernel(machine);
+        kernel.priv_.ScheduleEvent(100, InterruptSource::kDiskDone, 1);
+        machine.WaitForInterrupt();
+      },
+      "WaitForInterrupt outside any World");
 }
 
 TEST_F(MachineTest, CopyOutCopyInRoundTripsAcrossPages) {

@@ -219,14 +219,21 @@ TEST(World, QuiescesWhenAllMachinesParkForever) {
   Machine a(Machine::Config{.phys_pages = 16, .name = "a"}, &world);
   IdleKernel ka(a);
   bool after_park = false;
+  int spurious_wakes = 0;
   world.Run({[&] {
-    // Park with nothing pending: the world returns while this body is
-    // still blocked (it never resumes).
     ka.priv_.ScheduleEvent(100, InterruptSource::kAlarm, 0);
     a.WaitForInterrupt();  // This one completes...
     after_park = true;
+    // ...then the body parks with nothing pending. The quiescence sweep
+    // wakes it once; it re-parks without posting anything, so the world
+    // returns with the body abandoned mid-loop.
+    for (;;) {
+      a.WaitForInterrupt();
+      ++spurious_wakes;
+    }
   }});
   EXPECT_TRUE(after_park);
+  EXPECT_EQ(spurious_wakes, 1);
 }
 
 }  // namespace

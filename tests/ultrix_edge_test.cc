@@ -42,6 +42,36 @@ TEST_F(UltrixEdgeTest, SleepAdvancesClock) {
   });
 }
 
+TEST_F(UltrixEdgeTest, SleepWakesAtItsExactCycle) {
+  // Pins the idle path: the kernel parks with only the alarm pending, so
+  // the wake cycle is the alarm's due cycle plus the fixed charges of the
+  // interrupt, the wakeup, the dispatch and the syscall exit.
+  uint64_t woke_at = 0;
+  RunInProcess([&] {
+    kernel_.SysSleep(123'456);
+    woke_at = machine_.clock().now();
+  });
+  EXPECT_EQ(woke_at, 124'016u);
+}
+
+TEST(UltrixDeathTest, BlockedProcessWithNothingPendingAbortsAsHang) {
+  // The only process blocks on a pipe whose write end it holds, so no
+  // event can ever wake it: the machine's World quiesces with the kernel
+  // parked, which RunCpus reports as a hang.
+  EXPECT_DEATH(
+      {
+        hw::Machine machine(hw::Machine::Config{.phys_pages = 64, .name = "uxh"});
+        Ultrix kernel(machine);
+        (void)kernel.CreateProcess([&] {
+          Result<std::pair<int, int>> fds = kernel.SysPipe();
+          std::vector<uint8_t> buf(1);
+          (void)kernel.SysRead(fds->first, buf);
+        });
+        kernel.Run();
+      },
+      "hang");
+}
+
 TEST_F(UltrixEdgeTest, ReadWriteOnBadFdFails) {
   RunInProcess([&] {
     std::vector<uint8_t> buf(4);
