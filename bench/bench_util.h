@@ -29,12 +29,14 @@ inline double Us(uint64_t cycles) { return hw::CyclesToMicros(cycles); }
 
 // --- Optional kernel tracing: --xok_trace=PATH ---
 //
-// When the flag is present, every RunOnAegis/RunOnExos boot arms an xtrace
-// ring before the workload runs; after all benchmarks finish, the merged
-// event summary is written to PATH as JSON (the observability sidecar next
-// to each BENCH_*.json). Armed tracing costs kTraceArmedSyscall per traced
-// syscall, so expect slightly higher sim numbers in this mode — that cost
-// is itself measured by bench_abl_trace.
+// When the flag is present, every RunOnAegis/RunOnExos boot of the paper
+// tables arms an xtrace ring before the workload runs; once the tables are
+// printed, the merged event summary is written to PATH as JSON (the
+// observability sidecar next to each BENCH_*.json) and arming stops, so
+// google-benchmark's wall-clock-sized loops never reach the summary and
+// two runs of one binary write the same file. Armed tracing costs
+// kTraceArmedSyscall per traced syscall, so expect slightly higher table
+// numbers in this mode — that cost is itself measured by bench_abl_trace.
 struct TraceCapture {
   bool enabled = false;
   std::string path;
@@ -117,11 +119,13 @@ inline void HarvestTraceRing(hw::Machine& machine, const std::vector<aegis::Page
   ++GlobalTraceCapture().sessions;
 }
 
+// Writes the summary of every boot so far, then disarms later boots.
 inline void WriteTraceJson() {
   TraceCapture& capture = GlobalTraceCapture();
   if (!capture.enabled) {
     return;
   }
+  capture.enabled = false;
   std::FILE* f = std::fopen(capture.path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench: cannot write %s\n", capture.path.c_str());
@@ -229,17 +233,18 @@ inline std::string FmtX(double ratio) {
   return buf;
 }
 
-// Standard main: print the paper table, then run google-benchmark.
-// Understands --xok_trace=PATH (stripped before benchmark::Initialize).
+// Standard main: print the paper table (and write the --xok_trace summary
+// of its boots), then run google-benchmark. Understands --xok_trace=PATH
+// (stripped before benchmark::Initialize).
 #define XOK_BENCH_MAIN(PrintPaperTables)                  \
   int main(int argc, char** argv) {                       \
     ::xok::bench::ParseTraceFlag(&argc, argv);            \
     PrintPaperTables();                                   \
+    ::xok::bench::WriteTraceJson();                       \
     ::benchmark::Initialize(&argc, argv);                 \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();                \
     ::benchmark::Shutdown();                              \
-    ::xok::bench::WriteTraceJson();                       \
     return 0;                                             \
   }
 

@@ -6,7 +6,6 @@
 #define XOK_SRC_BASE_STATUS_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace xok {
 
@@ -33,11 +32,6 @@ enum class Status : int32_t {
   kErrUnsafeCode = -40,  // Verifier rejected the program.
   kErrCodeLimit = -41,   // Bounded-runtime budget exceeded.
 };
-
-// Human-readable name for diagnostics and test failure messages.
-std::string_view StatusName(Status status);
-
-constexpr bool IsOk(Status status) { return status == Status::kOk; }
 
 }  // namespace xok
 

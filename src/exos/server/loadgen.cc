@@ -43,7 +43,6 @@ struct Pending {
   int key_index = -1;
   int expect_status = 200;
   bool is_hot = false;
-  bool hedged = false;       // One hedge per GET, ever.
   uint32_t retries = 0;
   uint64_t first_send = 0;
   uint64_t last_send = 0;
@@ -575,11 +574,11 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
     }
     drain_trace();
 
-    // Retransmit / hedge / abandon sweep. Runs every iteration (not just
-    // idle ones) so hedges and TTL abandons fire on time even while other
-    // shards keep the reply stream busy. It also finds the earliest cycle
-    // at which any survivor next needs the loop: TTL expiry, hedge, or
-    // retransmit (whichever of retry timer and Retry-After floor is later).
+    // Retransmit / abandon sweep. Runs every iteration (not just idle
+    // ones) so TTL abandons fire on time even while other shards keep the
+    // reply stream busy. It also finds the earliest cycle at which any
+    // survivor next needs the loop: TTL expiry or retransmit (whichever
+    // of retry timer and Retry-After floor is later).
     uint64_t wake_at = run_deadline;
     if (config.open_loop_interval_cycles > 0 && data_sent < config.requests) {
       wake_at = std::min(wake_at, next_send_at);
@@ -594,16 +593,6 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
           // The server sheds this id on sight now; retrying buys nothing.
           expired.push_back(id);
           continue;
-        }
-        if (config.hedge_after_cycles > 0 && pending.kind == Kind::kGet &&
-            !pending.hedged && check - pending.first_send >= config.hedge_after_cycles) {
-          // Hedged read: one early duplicate toward the same shard. A
-          // straggler answers the duplicate; a second reply to the
-          // original lands as a dup_ack.
-          pending.hedged = true;
-          ++stats.hedges;
-          transmit(pending.payload);
-          resent = true;
         }
         if (check >= pending.next_retry_at && check >= pending.not_before) {
           if (pending.retries >= config.max_retries) {
@@ -620,9 +609,6 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
         wake_at = std::min(wake_at, std::max(pending.next_retry_at, pending.not_before));
         if (pending.deadline != 0) {
           wake_at = std::min(wake_at, pending.deadline + 1);
-        }
-        if (config.hedge_after_cycles > 0 && pending.kind == Kind::kGet && !pending.hedged) {
-          wake_at = std::min(wake_at, pending.first_send + config.hedge_after_cycles);
         }
       }
       if (resent) {

@@ -78,12 +78,6 @@ struct WorkloadConfig {
   // not gave_up — under deliberate overload that is the contract working,
   // not a failure). 0 = no deadlines.
   uint64_t request_ttl_cycles = 0;
-  // Hedged reads: an idempotent GET still unanswered this long after its
-  // first send is duplicated once without waiting for the full backoff —
-  // a straggler (or dead) shard costs one extra frame instead of a tail
-  // latency excursion. 0 = off. Never hedges PUTs (not idempotent here:
-  // the client's version counter has moved on).
-  uint64_t hedge_after_cycles = 0;
   // Open-loop overdrive: send a new request every this many cycles
   // regardless of how many are outstanding — the closed-loop window no
   // longer bounds offered load, which is how the overload bench pushes a
@@ -178,7 +172,6 @@ struct LoadStats {
   uint64_t busy_503 = 0; // Transient server-side failures; stayed in flight.
   uint64_t retry_after = 0;    // 503s carrying a Retry-After pacing hint.
   uint64_t stale_200 = 0;      // X-Stale GETs (degraded-mode cache reads).
-  uint64_t hedges = 0;         // Early duplicate GETs (hedged reads).
   uint64_t ttl_abandoned = 0;  // Stopped retrying: request deadline passed.
   uint64_t ok_200 = 0;
   uint64_t created_201 = 0;

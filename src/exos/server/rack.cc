@@ -550,7 +550,7 @@ RackResult RunRack(const RackConfig& config) {
     if (result.cut_fired && state.first_resteer_ack > config.power_cut_cycle) {
       result.recovery_cycles = state.first_resteer_ack - config.power_cut_cycle;
     }
-    if (config.verify_recovery && result.cut_fired) {
+    if (result.cut_fired) {
       VerifyRecovery(disks[static_cast<uint32_t>(victim)]->TakeImage(), workers, &result);
     }
   }

@@ -97,12 +97,12 @@ struct RackConfig {
   uint32_t vnodes = 16;
 
   // Power-cut arm: cut this server machine (0-based index among servers,
-  // -1 = no cut) at the given absolute cycle on that machine's clock.
+  // -1 = no cut) at the given absolute cycle on that machine's clock. A
+  // cut that fired is followed, after the run, by rebooting the victim's
+  // platter image and verifying journal replay (Mount + Fsck per worker
+  // extent).
   int power_cut_server = -1;
   uint64_t power_cut_cycle = 0;
-  // After the run, reboot the victim's platter image and verify journal
-  // replay (Mount + Fsck per worker extent).
-  bool verify_recovery = true;
 
   // Chaos arm: asynchronously kill environment `kill_env` on server
   // machine `kill_server` (0-based index among servers, -1 = off) at the

@@ -4,17 +4,15 @@
 
 namespace xok::exos {
 
-Supervisor::Supervisor(aegis::Aegis& kernel, std::vector<ChildSpec> specs,
-                       const Options& options)
-    : kernel_(kernel), options_(options) {
+Supervisor::Supervisor(aegis::Aegis& kernel, std::vector<ChildSpec> specs)
+    : kernel_(kernel) {
   children_.reserve(specs.size());
   for (ChildSpec& spec : specs) {
     Child child;
     child.spec = std::move(spec);
     children_.push_back(std::move(child));
   }
-  proc_ = std::make_unique<Process>(
-      kernel_, [this](Process&) { Main(); }, options_.process);
+  proc_ = std::make_unique<Process>(kernel_, [this](Process&) { Main(); });
   PublishStatus();
 }
 
@@ -36,21 +34,28 @@ void Supervisor::SetState(Child& child, ChildState state) {
 void Supervisor::Spawn(Child& child) {
   // Replacing the unique_ptr drops the dead incarnation's Process;
   // environment ids are never reused, so the old id stays queryable
-  // through SysEnvStats regardless.
-  child.proc = std::make_unique<Process>(kernel_, child.spec.body, child.spec.options);
+  // through SysEnvStats regardless. The kernel broadcasts forced deaths
+  // but keeps clean exits silent, so the incarnation reports its own
+  // normal return by waking the supervisor with its env_cap (children_
+  // never reallocates after construction, so &child stays valid).
+  child.proc = std::make_unique<Process>(
+      kernel_,
+      [this, &child](Process& p) {
+        child.spec.body(p);
+        child.returned = true;
+        (void)p.kernel().SysWake(proc_->id(), proc_->env_cap());
+      },
+      child.spec.options);
   if (!child.proc->ok()) {
     // Env creation failed (asid space exhausted) — nothing to wait for.
     SetState(child, ChildState::kFailed);
     return;
   }
-  child.last_progress = 0;
-  child.stalled = 0;
   SetState(child, ChildState::kRunning);
 }
 
 void Supervisor::HandleDeath(Child& child, bool crashed, uint64_t now) {
-  const bool restart = child.spec.policy == RestartPolicy::kAlways ||
-                       (crashed && child.spec.policy == RestartPolicy::kOnFailure);
+  const bool restart = crashed && child.spec.policy == RestartPolicy::kOnFailure;
   if (!restart) {
     SetState(child, crashed ? ChildState::kFailed : ChildState::kDone);
     return;
@@ -76,64 +81,44 @@ void Supervisor::Main() {
   PublishStatus();
   while (true) {
     bool live = false;
-    uint64_t sleep = options_.sample_interval;
+    uint64_t respawn_at = UINT64_MAX;
     const uint64_t now = kernel_.SysGetCycles();
     for (Child& child : children_) {
-      if (child.state == ChildState::kBackoff) {
-        live = true;
-        if (now >= child.restart_at) {
-          Spawn(child);
-        } else {
-          sleep = std::min(sleep, child.restart_at - now);
+      if (child.state == ChildState::kBackoff && now >= child.restart_at) {
+        Spawn(child);
+      }
+      if (child.state == ChildState::kRunning) {
+        const aegis::EnvId env = child.proc->id();
+        if (!child.returned && kernel_.SysEnvAlive(env)) {
+          live = true;
           continue;
         }
-      }
-      if (child.state != ChildState::kRunning) {
-        continue;
-      }
-      const aegis::EnvId env = child.proc->id();
-      if (!kernel_.SysEnvAlive(env)) {
-        // killed=true means a crash/forced reap; a clean SysExit leaves
-        // it false — that distinction drives kOnFailure.
-        Result<aegis::EnvStats> stats = kernel_.SysEnvStats(env);
-        const bool crashed = stats.ok() && stats->killed;
+        // A body that returned exited cleanly; any other death with
+        // killed=true is a crash/forced reap — that distinction drives
+        // kOnFailure.
+        bool crashed = false;
+        if (!child.returned) {
+          Result<aegis::EnvStats> stats = kernel_.SysEnvStats(env);
+          crashed = stats.ok() && stats->killed;
+        }
         HandleDeath(child, crashed, now);
-        live = live || child.state == ChildState::kBackoff;
-        continue;
       }
-      live = true;
-      if (child.spec.stall_samples == 0) {
-        continue;
+      if (child.state == ChildState::kBackoff) {
+        live = true;
+        respawn_at = std::min(respawn_at, child.restart_at);
       }
-      Result<aegis::EnvStats> stats = kernel_.SysEnvStats(env);
-      if (!stats.ok()) {
-        continue;
-      }
-      const uint64_t progress =
-          stats->counters.cycles_on_cpu + stats->counters.syscalls_total();
-      if (progress != child.last_progress) {
-        child.last_progress = progress;
-        child.stalled = 0;
-        continue;
-      }
-      if (++child.stalled < child.spec.stall_samples) {
-        continue;
-      }
-      // Heartbeat stall: alive but frozen. Reap it ourselves (we hold
-      // its env_cap) and route through the normal restart path.
-      (void)kernel_.SysKillEnv(env, child.proc->env_cap());
-      ++child.stall_kills;
-      HandleDeath(child, /*crashed=*/true, now);
-      live = live || child.state == ChildState::kBackoff;
     }
     PublishStatus();
     if (!live) {
       break;
     }
-    ++samples_;
-    // Death notifications wake us early; the sleep only bounds how late
-    // we notice a stall or a due respawn.
-    kernel_.SysSleep(sleep);
+    // Deaths and clean exits wake us; the one timed wait is the earliest
+    // due respawn.
+    if (respawn_at == UINT64_MAX) {
+      kernel_.SysBlock();
+    } else {
+      kernel_.SysSleep(respawn_at - now);
+    }
   }
   finished_ = true;
   PublishStatus();
@@ -148,7 +133,6 @@ void Supervisor::PublishStatus() {
     status.state = child.state;
     status.env = child.proc != nullptr ? child.proc->id() : aegis::kNoEnv;
     status.restarts = child.restarts;
-    status.stall_kills = child.stall_kills;
     status_.push_back(std::move(status));
   }
 }

@@ -1,16 +1,18 @@
 // ExOS supervision tree: an init-style supervisor environment, written
-// entirely as untrusted library policy over three kernel primitives —
-// SysEnvAlive/SysEnvStats (global visibility of who is alive and making
-// progress), death-notification wakeups (a kill or exit wakes blocked
-// peers early), and SysKillEnv (forced reap with the child's env_cap).
+// entirely as untrusted library policy over kernel primitives —
+// SysEnvAlive/SysEnvStats (who is alive, and whether a dead env was
+// killed), death-notification wakeups (a forced death wakes every live
+// env), SysWake and SysSleep/SysBlock.
 //
-// The supervisor spawns children from ChildSpecs, then sits in a
-// sample-sleep loop: when a child dies it restarts it according to its
-// RestartPolicy with exponential backoff; when a child stops making
-// progress (its cycles+syscalls counters freeze for `stall_samples`
-// consecutive samples) the supervisor kills and restarts it; a child
-// that exceeds max_restarts is declared a permanent failure. Run()
-// returns when no child is running or waiting to restart.
+// The supervisor spawns children from ChildSpecs and then waits only on
+// events: a child's forced death (the kernel's broadcast) or its clean
+// exit (each incarnation's body is wrapped so that a normal return wakes
+// the supervisor — the kernel keeps clean exits silent). A dead child is
+// restarted per its RestartPolicy after an exponential backoff, the one
+// timed wait; a child that exceeds max_restarts is declared a permanent
+// failure. There is no heartbeat: a child that is alive but wedged is
+// not the supervisor's to detect. The loop ends when no child is running
+// or waiting to restart.
 #ifndef XOK_SRC_EXOS_SUPERVISOR_H_
 #define XOK_SRC_EXOS_SUPERVISOR_H_
 
@@ -26,8 +28,7 @@ namespace xok::exos {
 
 enum class RestartPolicy : uint8_t {
   kNever,      // Never restart; any exit is final.
-  kOnFailure,  // Restart on crash/kill; clean SysExit is final.
-  kAlways,     // Restart on any exit (a service that should run forever).
+  kOnFailure,  // Restart on crash/kill; a clean exit is final.
 };
 
 enum class ChildState : uint8_t {
@@ -39,6 +40,7 @@ enum class ChildState : uint8_t {
 
 struct ChildSpec {
   std::string name;
+  // Ends by returning: a body that calls SysExit itself exits unseen.
   std::function<void(Process&)> body;
   Process::Options options{};
   RestartPolicy policy = RestartPolicy::kOnFailure;
@@ -53,10 +55,6 @@ struct ChildSpec {
   // Exponential backoff between a death and the respawn, in cycles.
   uint64_t backoff_initial = 50'000;
   uint64_t backoff_cap = 800'000;
-  // Heartbeat: a child whose progress counters (cycles_on_cpu +
-  // syscalls) are unchanged for this many consecutive samples is deemed
-  // wedged and killed. 0 disables stall detection.
-  uint32_t stall_samples = 0;
 };
 
 struct ChildStatus {
@@ -64,26 +62,14 @@ struct ChildStatus {
   ChildState state = ChildState::kRunning;
   aegis::EnvId env = aegis::kNoEnv;  // Current (or last) incarnation.
   uint32_t restarts = 0;
-  uint32_t stall_kills = 0;  // Restarts forced by heartbeat stalls.
 };
 
 // The supervisor owns its own environment: construction spawns it, and
 // its fiber runs the supervision loop. Child Processes are created from
-// that fiber. Query Wait()/status() from the host after Aegis::Run().
+// that fiber. Query status() from the host after Aegis::Run().
 class Supervisor {
  public:
-  struct Options {
-    // Cycles between liveness/heartbeat samples. Death notifications
-    // wake the loop early, so this bounds stall detection latency, not
-    // crash-restart latency.
-    uint64_t sample_interval = 100'000;
-    Process::Options process;  // Options for the supervisor env itself.
-  };
-
-  Supervisor(aegis::Aegis& kernel, std::vector<ChildSpec> specs,
-             const Options& options);
-  Supervisor(aegis::Aegis& kernel, std::vector<ChildSpec> specs)
-      : Supervisor(kernel, std::move(specs), Options{}) {}
+  Supervisor(aegis::Aegis& kernel, std::vector<ChildSpec> specs);
 
   bool ok() const { return proc_ != nullptr && proc_->ok(); }
   aegis::EnvId id() const { return proc_->id(); }
@@ -98,7 +84,6 @@ class Supervisor {
   const Process* child(size_t i) const {
     return i < children_.size() ? children_[i].proc.get() : nullptr;
   }
-  uint64_t samples() const { return samples_; }
   uint32_t total_restarts() const;
   // True when the loop finished (all children done/failed) rather than
   // the supervisor itself being killed mid-flight.
@@ -110,11 +95,11 @@ class Supervisor {
     std::unique_ptr<Process> proc;
     ChildState state = ChildState::kRunning;
     uint32_t restarts = 0;
-    uint32_t stall_kills = 0;
     uint64_t backoff = 0;      // Next backoff delay.
     uint64_t restart_at = 0;   // Cycle to respawn at (kBackoff only).
-    uint64_t last_progress = 0;
-    uint32_t stalled = 0;      // Consecutive samples with no progress.
+    // Set by the incarnation itself when its body returns: from then on
+    // SysExit is all it has left, even if it is preempted before it.
+    bool returned = false;
   };
 
   void Main();
@@ -127,11 +112,9 @@ class Supervisor {
   void PublishStatus();
 
   aegis::Aegis& kernel_;
-  Options options_;
   std::vector<Child> children_;
   std::vector<ChildStatus> status_;
   std::unique_ptr<Process> proc_;
-  uint64_t samples_ = 0;
   bool finished_ = false;
 };
 

@@ -184,14 +184,6 @@ ExcAction Vm::HandleException(const hw::TrapFrame& frame) {
                                                               : ExcAction::kSkip;
 }
 
-void Vm::ReleaseAll() {
-  TableForEachPresent([&](hw::Vpn vpn, Pte& pte) {
-    (void)kernel_.SysDeallocPage(pte.frame, pte.cap);
-    (void)kernel_.SysTlbInvalidate(vpn << hw::kPageShift);
-    pte.present = false;
-  });
-}
-
 uint32_t Vm::ReleasePages(uint32_t n) {
   std::vector<hw::Vpn> clean;
   std::vector<hw::Vpn> dirty;

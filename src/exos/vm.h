@@ -69,9 +69,6 @@ class Vm {
   // if the fault was satisfied (mapping installed / handler repaired it).
   aegis::ExcAction HandleException(const hw::TrapFrame& frame);
 
-  // Tears down every mapping, returning frames to the kernel.
-  void ReleaseAll();
-
   // Releases up to `n` mapped pages back to the kernel, preferring clean
   // pages (cheap victims — nothing to write back). Returns how many were
   // released. This is the default visible-revocation policy.

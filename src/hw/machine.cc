@@ -314,44 +314,6 @@ Status Machine::StoreWord(Vaddr va, uint32_t value) {
   return Status::kOk;
 }
 
-Status Machine::CopyIn(std::span<uint8_t> dst, Vaddr src) {
-  size_t done = 0;
-  while (done < dst.size()) {
-    const Vaddr va = src + static_cast<Vaddr>(done);
-    const uint32_t in_page = kPageBytes - PageOffset(va);
-    const uint32_t chunk = static_cast<uint32_t>(std::min<size_t>(in_page, dst.size() - done));
-    Result<Paddr> pa = Translate(va, /*store=*/false);
-    if (!pa.ok()) {
-      return pa.status();
-    }
-    Charge(kMemWordCopy * ((chunk + 3) / 4));
-    for (uint32_t i = 0; i < chunk; ++i) {
-      dst[done + i] = mem_.ReadByte(*pa + i);
-    }
-    done += chunk;
-  }
-  return Status::kOk;
-}
-
-Status Machine::CopyOut(Vaddr dst, std::span<const uint8_t> src) {
-  size_t done = 0;
-  while (done < src.size()) {
-    const Vaddr va = dst + static_cast<Vaddr>(done);
-    const uint32_t in_page = kPageBytes - PageOffset(va);
-    const uint32_t chunk = static_cast<uint32_t>(std::min<size_t>(in_page, src.size() - done));
-    Result<Paddr> pa = Translate(va, /*store=*/true);
-    if (!pa.ok()) {
-      return pa.status();
-    }
-    Charge(kMemWordCopy * ((chunk + 3) / 4));
-    for (uint32_t i = 0; i < chunk; ++i) {
-      mem_.WriteByte(*pa + i, src[done + i]);
-    }
-    done += chunk;
-  }
-  return Status::kOk;
-}
-
 Result<int32_t> Machine::AddOverflow(int32_t a, int32_t b) {
   Charge(Instr(1));
   int32_t sum = 0;

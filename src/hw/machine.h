@@ -223,12 +223,6 @@ class Machine {
   Result<uint32_t> LoadWord(Vaddr va);
   Status StoreWord(Vaddr va, uint32_t value);
 
-  // Bulk translated copy into / out of a caller buffer. Translates once per
-  // page, charges kMemWordCopy per word. Used by library OSes for message
-  // buffers; faults behave as for LoadWord/StoreWord.
-  Status CopyIn(std::span<uint8_t> dst, Vaddr src);
-  Status CopyOut(Vaddr dst, std::span<const uint8_t> src);
-
   // ALU trap sources (paper Table 5 workloads).
   Result<int32_t> AddOverflow(int32_t a, int32_t b);  // Signed add, traps on overflow.
   Status CoprocOp();                                  // FP op; traps if coproc disabled.

@@ -40,9 +40,6 @@ class PhysMem {
   }
   void WriteWord(Paddr pa, uint32_t value) { std::memcpy(&bytes_[pa], &value, sizeof(value)); }
 
-  uint8_t ReadByte(Paddr pa) const { return bytes_[pa]; }
-  void WriteByte(Paddr pa, uint8_t value) { bytes_[pa] = value; }
-
   // Raw views of a page frame, used for bulk copies (DMA, kernel buffer
   // moves). Cycle charging is the caller's job.
   std::span<uint8_t> PageSpan(PageId page) {

@@ -611,9 +611,7 @@ TEST_P(RevocationStorm, EveryVictimRepairsOrRestartsAndTheLedgerStaysClean) {
                    .policy = exos::RestartPolicy::kOnFailure,
                    .max_restarts = 6,
                    .backoff_initial = 60'000});
-  exos::Supervisor::Options sup_options;
-  sup_options.sample_interval = 80'000;
-  exos::Supervisor sup(kernel, std::move(specs), sup_options);
+  exos::Supervisor sup(kernel, std::move(specs));
   ASSERT_TRUE(sup.ok());
 
   aegis::PressurePlan plan;
@@ -877,12 +875,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ServerSoak, ::testing::ValuesIn(ChaosSeeds({1, 2
 // client machine drives the server machine over a LOSSY wire (loopback
 // NICs bypass fault injection, so this soak uses two machines joined by
 // hw::World) at an open-loop rate the server cannot sustain, with
-// per-request TTLs, seeded-jitter retry backoff, and hedged reads; the
-// server runs the full overload config — ring shed watermark, batch
-// admission, write shedding, fail-fast re-steer, degraded read-only mode
-// — while (a) a revocation storm reclaims its resources, (b) an assassin
-// kills a worker mid-burst, and (c) a disk gremlin opens a media-error
-// window after recovery. The contract under all of it: every data
+// per-request TTLs and seeded-jitter retry backoff; the server runs the
+// full overload config — ring shed watermark, batch admission, write
+// shedding, fail-fast re-steer, degraded read-only mode — while (a) a
+// revocation storm reclaims its resources, (b) an assassin kills a
+// worker mid-burst, and (c) a disk gremlin opens a media-error window
+// after recovery. The contract under all of it: every data
 // request resolves exactly once (acked or TTL-abandoned — abandonment
 // under deliberate overload is the contract working, not a failure),
 // nothing is ever corrupt, the victim resurrects, and both kernels'
@@ -942,15 +940,14 @@ TEST_P(BlackFridaySoak, OverdriveStormKillsAndDiskFaultsShedButNeverCorrupt) {
   // Overdrive: one request every 15k cycles regardless of the backlog —
   // well past what two workers journaling PUTs can sustain.
   workload.open_loop_interval_cycles = 15'000;
-  // Robust-client kit: deadlines, decorrelated exponential backoff,
-  // hedged reads. The TTL dwarfs a single 503 round-trip but not a full
-  // worker resurrection — requests in flight across the outage abandon,
-  // and that is the correct outcome under this much chaos.
+  // Robust-client kit: deadlines and decorrelated exponential backoff.
+  // The TTL dwarfs a single 503 round-trip but not a full worker
+  // resurrection — requests in flight across the outage abandon, and
+  // that is the correct outcome under this much chaos.
   workload.request_ttl_cycles = 60'000'000;
   workload.retry_timeout_cycles = 200'000;
   workload.retry_backoff_cap_cycles = 3'200'000;
   workload.retry_jitter = true;
-  workload.hedge_after_cycles = 2'000'000;
   workload.max_retries = 1000;
   srv::LoadGenTarget target;
   target.iface = exos::NetIface{0xb, 2, BfResolve};

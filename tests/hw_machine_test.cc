@@ -149,7 +149,7 @@ TEST(PhysMemTest, FreshMemoryIsUnbackedAndBacksOnlyWrittenPages) {
   Result<uint32_t> untouched = machine.LoadWord(4095u << kPageShift);
   ASSERT_TRUE(untouched.ok());
   EXPECT_EQ(*untouched, 0u);
-  EXPECT_EQ(mem.ReadByte((100u << kPageShift) + 3), 0u);
+  EXPECT_EQ(mem.PageSpan(100)[3], 0u);
   EXPECT_EQ(mem.ReadWord(kPageBytes * 4095 + kPageBytes - 4), 0u);
 }
 
@@ -241,17 +241,6 @@ TEST(MachineDeathTest, WaitForInterruptOutsideAnyWorldAborts) {
         machine.WaitForInterrupt();
       },
       "WaitForInterrupt outside any World");
-}
-
-TEST_F(MachineTest, CopyOutCopyInRoundTripsAcrossPages) {
-  std::vector<uint8_t> src(kPageBytes + 123);
-  for (size_t i = 0; i < src.size(); ++i) {
-    src[i] = static_cast<uint8_t>(i * 7);
-  }
-  ASSERT_TRUE(machine_.CopyOut(0x5ff0, src) == Status::kOk);  // Crosses a page boundary.
-  std::vector<uint8_t> dst(src.size());
-  ASSERT_TRUE(machine_.CopyIn(dst, 0x5ff0) == Status::kOk);
-  EXPECT_EQ(src, dst);
 }
 
 TEST_F(MachineTest, AccessChargesCycles) {

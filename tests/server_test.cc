@@ -1028,7 +1028,8 @@ TEST(LoadGenLivenessTest, UnrebindableClientSleepsOutItsWaits) {
 // doorbell) — so it needs about two sleeps per request; polling on a
 // fixed nap needed ~200. Workers that are not rescuing a sibling's shard
 // block on their doorbell while serving; their one timed wait is the
-// grace period after QUIT.
+// grace period after QUIT. The supervisor waits on deaths and exits
+// alone, so a run with no restarts sees it sleep not once.
 TEST(KvServerTest, OpenLoopClientWaitsOnEventsNotNaps) {
   Rig rig(/*cpus=*/2);
   KvServerConfig config;
@@ -1078,11 +1079,10 @@ TEST(KvServerTest, OpenLoopClientWaitsOnEventsNotNaps) {
     EXPECT_LE(sleeps, 1u) << child.name;
     worker_sleeps += sleeps;
   }
-  // Kernel-wide, the only other sleeper is the supervisor's heartbeat:
-  // one sample per interval of the whole run, warm-up included.
-  const uint64_t heartbeats =
-      rig.machine.MaxCpuCycle() / Supervisor::Options{}.sample_interval + 1;
-  EXPECT_LE(kernel_sleeps, client_sleeps + worker_sleeps + heartbeats);
+  EXPECT_EQ(server.supervisor().total_restarts(), 0u);
+  EXPECT_EQ(rig.kernel.env_stats(server.supervisor().id()).counters.syscalls[kSleep], 0u);
+  // Kernel-wide, nobody else sleeps.
+  EXPECT_LE(kernel_sleeps, client_sleeps + worker_sleeps);
   EXPECT_TRUE(server.AllWorkersDone());
   EXPECT_EQ(rig.kernel.audit_failures(), 0u) << rig.kernel.first_audit_failure();
 }
