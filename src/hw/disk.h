@@ -217,7 +217,8 @@ class Disk {
         kind == Kind::kBarrier
             ? kDiskAccessCycles / 10 + buffer_.size() * (kDiskAccessCycles / 50)
             : kDiskAccessCycles;
-    machine_.PushEvent(machine_.clock().now() + latency, InterruptSource::kDiskDone, id);
+    machine_.PushEvent(machine_.clock().now() + latency, InterruptSource::kDiskDone, id,
+                       machine_.world_index());
     return id;
   }
 

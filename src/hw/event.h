@@ -13,7 +13,9 @@ struct PendingEvent {
   uint64_t due_cycle = 0;
   InterruptSource source = InterruptSource::kTimer;
   uint64_t payload = 0;
-  uint64_t seq = 0;  // Tie-breaker: events due on the same cycle keep order.
+  // Tie-breaker for events due on the same cycle: the origin machine's
+  // world index in the top 16 bits, the target CPU's push count below.
+  uint64_t seq = 0;
 
   bool operator>(const PendingEvent& other) const {
     if (due_cycle != other.due_cycle) {

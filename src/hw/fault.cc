@@ -11,14 +11,20 @@ constexpr uint64_t kDiskSalt = 0xd15cULL;
 constexpr uint64_t kTornSalt = 0x7093ULL;
 constexpr uint64_t kDropSalt = 0xd809ULL;
 constexpr uint64_t kCorruptSalt = 0xc087ULL;
+
+// A stream for one wire frame: (seed, channel salt, sender, transmission
+// number) hashed through SplitMix64 one word at a time.
+SplitMix64 FrameStream(uint64_t seed, uint64_t salt, uint32_t sender, uint64_t seq) {
+  SplitMix64 mix(seed ^ salt);
+  mix = SplitMix64(mix.Next() ^ sender);
+  return SplitMix64(mix.Next() ^ seq);
+}
 }  // namespace
 
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : plan_(plan),
       disk_rng_(plan.seed ^ kDiskSalt),
-      torn_rng_(plan.seed ^ kTornSalt),
-      drop_rng_(plan.seed ^ kDropSalt),
-      corrupt_rng_(plan.seed ^ kCorruptSalt) {
+      torn_rng_(plan.seed ^ kTornSalt) {
   for (const FaultEvent& event : plan.events) {
     if (event.kind == FaultKind::kDiskError) {
       disk_errors_due_.push_back(event.at_cycle);
@@ -49,25 +55,27 @@ uint32_t FaultInjector::NextTornWords(uint32_t words_per_block) {
   return 1 + static_cast<uint32_t>(torn_rng_.NextBelow(words_per_block - 1));
 }
 
-bool FaultInjector::NextWireDrop() {
+bool FaultInjector::WireDrop(uint32_t sender, uint64_t seq) {
   if (plan_.wire_drop_per_mille == 0) {
     return false;
   }
-  if (drop_rng_.NextBelow(1000) >= plan_.wire_drop_per_mille) {
+  SplitMix64 rng = FrameStream(plan_.seed, kDropSalt, sender, seq);
+  if (rng.NextBelow(1000) >= plan_.wire_drop_per_mille) {
     return false;
   }
   ++frames_dropped_;
   return true;
 }
 
-bool FaultInjector::MaybeCorruptFrame(std::span<uint8_t> frame) {
+bool FaultInjector::MaybeCorruptFrame(uint32_t sender, uint64_t seq, std::span<uint8_t> frame) {
   if (plan_.wire_corrupt_per_mille == 0 || frame.empty()) {
     return false;
   }
-  if (corrupt_rng_.NextBelow(1000) >= plan_.wire_corrupt_per_mille) {
+  SplitMix64 rng = FrameStream(plan_.seed, kCorruptSalt, sender, seq);
+  if (rng.NextBelow(1000) >= plan_.wire_corrupt_per_mille) {
     return false;
   }
-  const uint64_t draw = corrupt_rng_.Next();
+  const uint64_t draw = rng.Next();
   const size_t index = draw % frame.size();
   uint8_t flip = static_cast<uint8_t>((draw >> 32) & 0xff);
   if (flip == 0) {

@@ -8,7 +8,10 @@
 //
 //   * stochastic channels, drawn per opportunity from per-channel SplitMix64
 //     streams: disk transfers that complete with an error, frames that
-//     evaporate on the wire, frames that are bit-flipped in transit;
+//     evaporate on the wire, frames that are bit-flipped in transit. A wire
+//     frame's draws are a pure function of (seed, sender world index,
+//     sender's transmission number), so machines sharing one wire see the
+//     same losses whichever order the host runs their transmissions in;
 //   * one-shot scheduled events, fired at absolute cycle counts through the
 //     machine's ordinary event queue: spurious interrupts with bogus
 //     payloads, and asynchronous environment kills (delivered to the kernel
@@ -84,9 +87,12 @@ class FaultInjector {
   // enabling one channel does not perturb another's schedule. A disk
   // transfer completing at `now` first takes a due one-shot error.
   bool NextDiskError(uint64_t now);
-  bool NextWireDrop();
-  // Flips one byte of `frame` in place; returns whether it fired.
-  bool MaybeCorruptFrame(std::span<uint8_t> frame);
+  // Whether transmission `seq` of the machine with world index `sender`
+  // evaporates on the wire.
+  bool WireDrop(uint32_t sender, uint64_t seq);
+  // Flips one byte of `frame`, transmission `seq` of `sender`, in place;
+  // returns whether it fired.
+  bool MaybeCorruptFrame(uint32_t sender, uint64_t seq, std::span<uint8_t> frame);
   // Torn-write draw for one volatile block at power cut: 0 means the block
   // is lost whole (old contents survive); 1..words_per_block-1 means that
   // many leading words of the new contents reached the platter mid-DMA.
@@ -103,8 +109,6 @@ class FaultInjector {
   std::vector<uint64_t> disk_errors_due_;  // Pending one-shots, latest first.
   SplitMix64 disk_rng_;
   SplitMix64 torn_rng_;
-  SplitMix64 drop_rng_;
-  SplitMix64 corrupt_rng_;
   uint64_t disk_errors_injected_ = 0;
   uint64_t blocks_torn_ = 0;
   uint64_t frames_dropped_ = 0;

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/aegis.h"
@@ -78,6 +79,28 @@ TEST(Rack, SameSeedWorldRunsAreByteIdentical) {
   EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
   EXPECT_EQ(a.retransmissions, b.retransmissions);
   EXPECT_EQ(a.acked_by_server, b.acked_by_server);
+}
+
+TEST(Rack, PinnedFingerprints) {
+  // Exactness oracle for the World's scheduling: a 3-server rack's
+  // fingerprint (every machine's final clock and every client-visible
+  // count) at three seeds, recorded with the World dispatching contexts
+  // in strict lowest-clock order. A scheduler change that lets machines
+  // run ahead of each other must leave each one exactly as it was.
+  const std::pair<uint64_t, uint64_t> pinned[] = {
+      {1, 0xe1daf3b7880feb5dull},
+      {2, 0x6f5cd01e02486823ull},
+      {3, 0x5b05ab7cfba9fa9bull},
+  };
+  for (const auto& [seed, fingerprint] : pinned) {
+    RackConfig config = SmallRack(3);
+    config.seed = seed;
+    const RackResult r = RunRack(config);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.acked, uint64_t{config.lanes} * config.requests_per_lane);
+    EXPECT_EQ(r.fingerprint, fingerprint) << "seed " << seed << ": 0x" << std::hex
+                                          << r.fingerprint;
+  }
 }
 
 TEST(Rack, PowerCutFailsOverAndJournalRecovers) {
