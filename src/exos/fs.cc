@@ -37,30 +37,17 @@ constexpr uint32_t kDescMagic = 0xd5c0de01;
 constexpr uint32_t kCommitMagic = 0xd5c0de02;
 constexpr size_t kChecksumOff = hw::kPageBytes - 4;
 
-constexpr uint32_t kChecksumSeed = 2166136261u;
+uint64_t ReadLe64(std::span<const uint8_t> bytes, size_t off) {
+  uint64_t word = 0;
+  std::memcpy(&word, &bytes[off], 8);
+  return word;
+}
 
-// Journal checksum: one 64-bit multiply per 8-byte little-endian word (a
-// short tail is zero-padded into one last word), folded to 32 bits.
-// `seed` chains the payload checksum across a record's blocks. The rotate
-// carries each product's high bits back down: without it a flip of bit 63
-// only ever reaches bit 63, so flipping it in two words would cancel out.
-uint32_t JournalChecksum(std::span<const uint8_t> bytes, uint32_t seed = kChecksumSeed) {
-  uint64_t hash = seed;
-  const auto mix = [&hash](uint64_t word) {
-    hash = std::rotl((hash ^ word) * 0x9e3779b97f4a7c15ULL, 29);
-  };
-  size_t off = 0;
-  for (; off + 8 <= bytes.size(); off += 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, &bytes[off], 8);
-    mix(word);
-  }
-  if (off < bytes.size()) {
-    uint64_t word = 0;
-    std::memcpy(&word, &bytes[off], bytes.size() - off);
-    mix(word);
-  }
-  return static_cast<uint32_t>(hash ^ (hash >> 32));
+// One step of a checksum lane. The rotate carries each product's high bits
+// back down: without it a flip of bit 63 only ever reaches bit 63, so
+// flipping it in two words of a lane would cancel out.
+uint64_t Mix(uint64_t hash, uint64_t word) {
+  return std::rotl((hash ^ word) * 0x9e3779b97f4a7c15ULL, 29);
 }
 
 // Header checksum of a descriptor/commit block: everything before the
@@ -70,6 +57,31 @@ uint32_t HeaderChecksum(std::span<const uint8_t> block) {
 }
 
 }  // namespace
+
+uint32_t JournalChecksum(std::span<const uint8_t> bytes, uint32_t seed) {
+  // Four independent multiply chains, so the host overlaps their latency.
+  uint64_t lanes[4] = {seed, seed, seed, seed};
+  size_t off = 0;
+  for (; off + 32 <= bytes.size(); off += 32) {
+    lanes[0] = Mix(lanes[0], ReadLe64(bytes, off));
+    lanes[1] = Mix(lanes[1], ReadLe64(bytes, off + 8));
+    lanes[2] = Mix(lanes[2], ReadLe64(bytes, off + 16));
+    lanes[3] = Mix(lanes[3], ReadLe64(bytes, off + 24));
+  }
+  uint64_t hash = seed;
+  for (const uint64_t lane : lanes) {
+    hash = Mix(hash, lane);
+  }
+  for (; off + 8 <= bytes.size(); off += 8) {
+    hash = Mix(hash, ReadLe64(bytes, off));
+  }
+  if (off < bytes.size()) {
+    uint64_t word = 0;
+    std::memcpy(&word, &bytes[off], bytes.size() - off);
+    hash = Mix(hash, word);
+  }
+  return static_cast<uint32_t>(hash ^ (hash >> 32));
+}
 
 // --- BlockCache ---
 
@@ -539,7 +551,7 @@ Status LibFs::CommitTxn() {
       return written;
     }
     // Payload blocks: the new images, verbatim.
-    uint32_t payload_checksum = kChecksumSeed;
+    uint32_t payload_checksum = kJournalChecksumSeed;
     for (size_t i = 0; i < txn_.size(); ++i) {
       proc_.machine().Charge(Instr(hw::kPageBytes / 4));
       payload_checksum = JournalChecksum(txn_[i].bytes, payload_checksum);
@@ -652,7 +664,7 @@ Status LibFs::ReplayJournal() {
         ReadLe32(commit, kChecksumOff) != HeaderChecksum(commit)) {
       break;  // Uncommitted or torn: discard this and everything after.
     }
-    uint32_t payload_checksum = kChecksumSeed;
+    uint32_t payload_checksum = kJournalChecksumSeed;
     for (uint32_t i = 0; i < count; ++i) {
       proc_.machine().Charge(Instr(hw::kPageBytes / 4));
       payload_checksum = JournalChecksum(journal[head + 1 + i], payload_checksum);

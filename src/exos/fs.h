@@ -48,6 +48,16 @@
 
 namespace xok::exos {
 
+inline constexpr uint32_t kJournalChecksumSeed = 2166136261u;
+
+// The journal's checksum: words are 8-byte little endian, word i of each
+// 32-byte group feeds lane i % 4 of four rotate-multiply lanes, the lanes
+// fold in order into one hash, and the words after the last whole group
+// (a short tail zero-padded into one last word) go into that hash, which
+// then folds to 32 bits. `seed` chains the payload checksum across a
+// record's blocks. The library charges it as one instruction per 4 bytes.
+uint32_t JournalChecksum(std::span<const uint8_t> bytes, uint32_t seed = kJournalChecksumSeed);
+
 // A write-back block cache over one disk extent, with a pluggable
 // replacement policy. Slots are frames the application owns.
 class BlockCache {

@@ -15,24 +15,27 @@
 // RestoreImage let a test boot a fresh Machine over the surviving platter
 // contents.
 //
-// The platter is a lazily backed, guard-paged host mapping (mapping.h), so
-// a block costs host memory only once it is written; never-written blocks
-// read zero.
+// The host holds the platter as blocks, as Aegis binds it: one owned 4 KB
+// Block per block ever made durable, null for a block that reads zero. A
+// write fills a buffer Block, and a barrier moves each buffered Block into
+// its platter slot, so a barrier copies nothing and a never-written block
+// costs the host one null pointer.
 #ifndef XOK_SRC_HW_DISK_H_
 #define XOK_SRC_HW_DISK_H_
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
 #include "src/hw/fault.h"
 #include "src/hw/machine.h"
-#include "src/hw/mapping.h"
 
 namespace xok::hw {
 
@@ -46,10 +49,7 @@ class Disk {
   };
 
   Disk(Machine& machine, uint32_t block_count)
-      : machine_(machine),
-        block_count_(block_count),
-        mapping_(static_cast<size_t>(block_count) * kPageBytes),
-        media_(mapping_.bytes().first(static_cast<size_t>(block_count) * kPageBytes)) {}
+      : machine_(machine), block_count_(block_count), platter_(block_count) {}
 
   uint32_t block_count() const { return block_count_; }
 
@@ -98,7 +98,7 @@ class Disk {
     inflight_.erase(it);
     if (req.kind == Kind::kBarrier) {
       for (auto& [block, bytes] : buffer_) {
-        std::copy(bytes.begin(), bytes.end(), MediaOf(block));
+        platter_[block] = std::move(bytes);
         ++blocks_made_durable_;
       }
       buffer_.clear();
@@ -115,12 +115,20 @@ class Disk {
     auto frame_span = machine_.mem().PageSpan(req.frame);
     if (req.kind == Kind::kWrite) {
       // Acknowledged into the volatile buffer; durable only after a barrier.
-      buffer_[req.block].assign(frame_span.begin(), frame_span.end());
+      std::unique_ptr<Block>& buffered = buffer_[req.block];
+      if (buffered == nullptr) {
+        buffered = std::make_unique_for_overwrite<Block>();
+      }
+      std::copy(frame_span.begin(), frame_span.end(), buffered->begin());
     } else {
       auto buffered = buffer_.find(req.block);
-      const uint8_t* src =
-          buffered != buffer_.end() ? buffered->second.data() : MediaOf(req.block);
-      std::copy(src, src + kPageBytes, frame_span.begin());
+      const Block* src =
+          buffered != buffer_.end() ? buffered->second.get() : platter_[req.block].get();
+      if (src != nullptr) {
+        std::copy(src->begin(), src->end(), frame_span.begin());
+      } else {
+        std::fill(frame_span.begin(), frame_span.end(), uint8_t{0});
+      }
     }
     return Completion{req.block, req.kind == Kind::kWrite, /*failed=*/false};
   }
@@ -157,7 +165,11 @@ class Disk {
       const uint32_t words =
           fault_injector_ != nullptr ? fault_injector_->NextTornWords(kPageBytes / 4) : 0;
       if (words > 0) {
-        std::copy(bytes.begin(), bytes.begin() + words * 4, MediaOf(block));
+        std::unique_ptr<Block>& durable = platter_[block];
+        if (durable == nullptr) {
+          durable = std::make_unique<Block>();  // The prefix lands over zeros.
+        }
+        std::copy(bytes->begin(), bytes->begin() + words * 4, durable->begin());
       }
     }
     buffer_.clear();
@@ -167,14 +179,34 @@ class Disk {
 
   // Snapshot of the durable platter contents (the volatile buffer is
   // deliberately excluded — only barrier-ordered state survives a reboot).
-  std::vector<uint8_t> TakeImage() const { return std::vector<uint8_t>(media_.begin(), media_.end()); }
+  std::vector<uint8_t> TakeImage() const {
+    std::vector<uint8_t> image(static_cast<size_t>(block_count_) * kPageBytes);
+    for (size_t block = 0; block < platter_.size(); ++block) {
+      if (platter_[block] != nullptr) {
+        std::copy(platter_[block]->begin(), platter_[block]->end(),
+                  image.begin() + static_cast<std::ptrdiff_t>(block * kPageBytes));
+      }
+    }
+    return image;
+  }
 
-  // Boots this (fresh) disk over a surviving platter image.
+  // Boots this disk over a surviving platter image: every block takes the
+  // image's bytes, whatever it held before.
   Status RestoreImage(const std::vector<uint8_t>& image) {
-    if (image.size() != media_.size()) {
+    if (image.size() != static_cast<size_t>(block_count_) * kPageBytes) {
       return Status::kErrInvalidArgs;
     }
-    std::copy(image.begin(), image.end(), media_.begin());
+    for (size_t block = 0; block < platter_.size(); ++block) {
+      const auto from = image.begin() + static_cast<std::ptrdiff_t>(block * kPageBytes);
+      if (std::all_of(from, from + kPageBytes, [](uint8_t b) { return b == 0; })) {
+        platter_[block].reset();  // Reads zero.
+        continue;
+      }
+      if (platter_[block] == nullptr) {
+        platter_[block] = std::make_unique_for_overwrite<Block>();
+      }
+      std::copy(from, from + kPageBytes, platter_[block]->begin());
+    }
     buffer_.clear();
     inflight_.clear();
     powered_off_ = false;
@@ -189,16 +221,13 @@ class Disk {
 
  private:
   enum class Kind : uint8_t { kRead, kWrite, kBarrier };
+  using Block = std::array<uint8_t, kPageBytes>;
 
   struct Request {
     uint32_t block = 0;
     PageId frame = 0;
     Kind kind = Kind::kRead;
   };
-
-  uint8_t* MediaOf(uint32_t block) {
-    return &media_[static_cast<size_t>(block) * kPageBytes];
-  }
 
   Result<uint64_t> Submit(uint32_t block, PageId frame, Kind kind) {
     if (powered_off_) {
@@ -224,11 +253,11 @@ class Disk {
 
   Machine& machine_;
   uint32_t block_count_;
-  Mapping mapping_;
-  std::span<uint8_t> media_;  // Durable platter contents, within mapping_.
+  // Durable platter contents, one slot per block; null reads zero.
+  std::vector<std::unique_ptr<Block>> platter_;
   // Volatile write buffer: acknowledged but not yet durable, keyed by block
   // (std::map so power-cut torn draws are deterministic per seed).
-  std::map<uint32_t, std::vector<uint8_t>> buffer_;
+  std::map<uint32_t, std::unique_ptr<Block>> buffer_;
   std::unordered_map<uint64_t, Request> inflight_;
   uint64_t next_id_ = 1;
   uint64_t error_from_ = 0;   // Persistent-fault window (0,0 = disarmed).

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -81,6 +83,22 @@ namespace {
 constexpr uint32_t kInitialMxcsr = 0x1f80;
 constexpr uint16_t kInitialX87Cw = 0x037f;
 
+// Default-size stacks of destroyed fibers, reused by the next fibers made on
+// this thread so that a fiber's lifetime costs no system call. A rack of
+// five machines keeps ~34 fibers alive; the cap leaves room for that and
+// keeps a test that makes thousands of fibers from holding their memory.
+constexpr size_t kStackPoolCap = 64;
+thread_local std::vector<Mapping> stack_pool;
+
+Mapping TakeStack(size_t stack_bytes) {
+  if (stack_bytes != Fiber::kDefaultStackBytes || stack_pool.empty()) {
+    return Mapping(stack_bytes);
+  }
+  Mapping stack = std::move(stack_pool.back());
+  stack_pool.pop_back();
+  return stack;
+}
+
 #if defined(__SANITIZE_ADDRESS__)
 // The fiber being switched away from, so that whichever context resumes
 // next can record the stack bounds ASan reports for it.
@@ -93,7 +111,8 @@ Fiber::Fiber() {
   // sp_ is filled in by the first Switch() away from this fiber.
 }
 
-Fiber::Fiber(Entry entry, size_t stack_bytes) : stack_(stack_bytes), entry_(std::move(entry)) {
+Fiber::Fiber(Entry entry, size_t stack_bytes)
+    : stack_(TakeStack(stack_bytes)), entry_(std::move(entry)) {
   uint8_t* lo = stack_.bytes().data();
   stack_lo_ = lo;
   stack_bytes_ = stack_.bytes().size();
@@ -114,10 +133,14 @@ Fiber::Fiber(Entry entry, size_t stack_bytes) : stack_(stack_bytes), entry_(std:
 
 Fiber::~Fiber() {
 #if defined(__SANITIZE_ADDRESS__)
-  // An abandoned fiber leaves its frames' redzones poisoned; a later mapping
-  // at the same address must not inherit them. stack_ unmaps afterwards.
+  // An abandoned fiber leaves its frames' redzones poisoned; the next fiber
+  // on this stack, or a later mapping at the same address, must not
+  // inherit them.
   ASAN_UNPOISON_MEMORY_REGION(stack_.bytes().data(), stack_.bytes().size());
 #endif
+  if (stack_.bytes().size() == kDefaultStackBytes && stack_pool.size() < kStackPoolCap) {
+    stack_pool.push_back(std::move(stack_));
+  }
 }
 
 void Fiber::Switch(Fiber& from, Fiber& to) {

@@ -21,8 +21,8 @@
 // that ran last, then by CPU index. Across machines the World picks only
 // among the current machine's CPUs while that machine stays within the
 // wire's lookahead of the others: no frame lands on another machine sooner
-// than kNicControllerLatency + Nic::kMinFrameBytes * kWireCyclesPerByte =
-// 1280 cycles after its sender's clock (world.h). Same-cycle events order
+// than the charges on its way allow after its sender's clock (world.h).
+// Same-cycle events order
 // by origin machine (Cpu::PushEvent), so a machine's results do not depend
 // on how far its neighbours ran ahead. The machine body runs as CPU 0. A
 // machine constructed without a World runs RunCpus as the only machine of

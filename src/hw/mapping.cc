@@ -3,11 +3,18 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 namespace xok::hw {
+
+namespace {
+std::atomic<uint64_t> mappings_made{0};
+}  // namespace
+
+uint64_t Mapping::made() { return mappings_made.load(); }
 
 Mapping::Mapping(size_t bytes) {
   const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -30,6 +37,7 @@ Mapping::Mapping(size_t bytes) {
   // rejects it, and then there are no huge pages to decline.
   (void)madvise(lo, usable, MADV_NOHUGEPAGE);
   bytes_ = std::span<uint8_t>(reinterpret_cast<uint8_t*>(lo), usable);
+  ++mappings_made;
 }
 
 Mapping::~Mapping() {

@@ -1,10 +1,13 @@
-// Lazily backed host memory for the simulated hardware: physical memory,
-// disk platters and fiber stacks. A Mapping is an anonymous private mapping
+// Lazily backed host memory for the simulated hardware: physical memory
+// and fiber stacks. A Mapping is an anonymous private mapping
 // of whole host pages with a PROT_NONE guard page on each side. The kernel
 // hands out zero pages on first touch, so the host pays (in resident memory
 // and in time) only for pages the simulation actually writes, and an
 // access just past either end faults instead of landing in a neighbour.
 // Transparent huge pages are declined, so a touch costs one host page.
+// Each Mapping costs five system calls over its life (mmap, two mprotects,
+// madvise, munmap), so fiber stacks are recycled (fiber.h) rather than
+// made per fiber, and a disk platter is heap blocks (disk.h), not a Mapping.
 #ifndef XOK_SRC_HW_MAPPING_H_
 #define XOK_SRC_HW_MAPPING_H_
 
@@ -29,6 +32,11 @@ class Mapping {
   Mapping& operator=(Mapping&& other) noexcept;
   Mapping(const Mapping&) = delete;
   Mapping& operator=(const Mapping&) = delete;
+
+  // Mappings made by this process so far. Host-side and charged to no
+  // simulated clock, like EnvCounters: it tells a test what a run asked of
+  // the host, not what the simulated machine did.
+  static uint64_t made();
 
   // The usable bytes, between the guard pages. Moving the Mapping does not
   // move them, so a span taken here stays valid for the owner's lifetime.

@@ -38,6 +38,10 @@ bool Nic::Transmit(std::span<const uint8_t> frame) {
   if (wire_ == nullptr) {
     return false;  // Cable unplugged.
   }
+  // Counted until the frame is on the wire: a CPU may yield inside the
+  // charges below, and meanwhile the frame can land sooner than the World's
+  // full lookahead allows.
+  ++sending_;
   // TX contention: the single transmitter serialises one frame at a time;
   // a sender that outruns the wire stalls until the previous frame clears.
   const uint64_t now = machine_.clock().now();
@@ -50,6 +54,7 @@ bool Nic::Transmit(std::span<const uint8_t> frame) {
   machine_.Charge(kMemWordCopy * ((frame.size() + 3) / 4));
   machine_.Charge(kNicControllerLatency);
   wire_->Broadcast(this, frames_transmitted_, frame);
+  --sending_;
   tx_free_at_ = machine_.clock().now() + frame.size() * kWireCyclesPerByte;
   ++frames_transmitted_;
   return true;

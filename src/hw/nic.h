@@ -95,6 +95,7 @@ class Nic {
  private:
   friend class Cpu;  // Lands arrived frames as it delivers kNicRx.
   friend class Wire;
+  friend class World;  // Shortens its lookahead while a frame is sending.
 
   // A wire frame on its way to this controller.
   struct InFlight {
@@ -129,6 +130,10 @@ class Nic {
   uint64_t frames_transmitted_ = 0;
   uint64_t loopback_frames_ = 0;
   uint64_t tx_free_at_ = 0;  // Cycle the transmitter finishes serialising.
+  // Transmits between their first charge and the wire. A sender abandoned
+  // inside one (a power cut, a kill) leaves it raised, which only keeps
+  // the World's shorter, still exact, lookahead for this machine.
+  uint32_t sending_ = 0;
   uint64_t tx_stalls_ = 0;
   uint64_t tx_stall_cycles_ = 0;
 };

@@ -11,10 +11,19 @@
 namespace xok::hw {
 
 namespace {
-// The least time from a sender's clock to its frame landing on another
-// machine (see world.h): the receiving controller's latency plus a
-// minimum-size frame on the wire.
-constexpr uint64_t kLookahead = kNicControllerLatency + Nic::kMinFrameBytes * kWireCyclesPerByte;
+// What a minimum-size frame pays once it leaves the sending controller:
+// serialisation and the receiving controller's latency, 280 + 1000 cycles.
+constexpr uint64_t kWireFlight = Nic::kMinFrameBytes * kWireCyclesPerByte + kNicControllerLatency;
+// Every charge from a sender's clock to its frame landing on another
+// machine: Nic::Transmit's copy of a minimum-size frame and the sending
+// controller's latency, then the wire: 16 + 1000 + 1280 = 2296 cycles.
+constexpr uint64_t kMinFrameFlight =
+    kMemWordCopy * ((Nic::kMinFrameBytes + 3) / 4) + kNicControllerLatency + kWireFlight;
+// How far past a machine's lowest key another machine may run (world.h).
+// A ready context's key is its clock + 1, hence one less than the flight.
+constexpr uint64_t kLookahead = kMinFrameFlight - 1;
+constexpr uint64_t kSendingLookahead = kWireFlight - 1;
+static_assert(kLookahead == 2295 && kSendingLookahead == 1279);
 }  // namespace
 
 World::World() = default;
@@ -94,7 +103,7 @@ void World::Run(std::vector<std::function<void()>> bodies) {
 
 void World::Schedule() {
   // Dispatches the current machine's strict-order pick while its key stays
-  // below every other machine's key + kLookahead, then moves to the machine
+  // below every other machine's reach (ReachOf), then moves to the machine
   // with the lowest key (ties to the lowest world index). When no machine
   // has a key — nothing ready, nothing due — sweep every parked context
   // with a spurious wake so its loop can observe a global exit condition;
@@ -162,14 +171,22 @@ void World::Schedule() {
   }
 }
 
+uint64_t World::ReachOf(const Machine& machine, uint64_t key) {
+  if (key == kNever) {
+    return kNever;
+  }
+  const bool sending = machine.nic_ != nullptr && machine.nic_->sending_ > 0;
+  return key + (sending ? kSendingLookahead : kLookahead);
+}
+
 uint64_t World::HorizonFor(size_t current) const {
-  uint64_t others = kNever;
+  uint64_t horizon = kNever;
   for (size_t i = 0; i < members_.size(); ++i) {
     if (i != current) {
-      others = std::min(others, members_[i].key);
+      horizon = std::min(horizon, ReachOf(*members_[i].machine, members_[i].key));
     }
   }
-  return others == kNever ? kNever : others + kLookahead;
+  return horizon;
 }
 
 void World::SetYieldAt(const Ctx& ctx) {
@@ -178,8 +195,8 @@ void World::SetYieldAt(const Ctx& ctx) {
     const uint64_t key = PickIn(m).key;  // `ctx`, running, has no key.
     if (m.machine == ctx.machine) {
       yield_at_ = std::min(yield_at_, key);
-    } else if (key != kNever) {
-      yield_at_ = std::min(yield_at_, key + kLookahead);
+    } else {
+      yield_at_ = std::min(yield_at_, ReachOf(*m.machine, key));
     }
   }
 }
@@ -280,8 +297,9 @@ void World::NoteEventPosted(const Cpu* cpu, uint64_t due) {
   }
   Member& member = MemberOf(&cpu->machine_);
   member.key = std::min(member.key, due);
-  horizon_ = std::min(horizon_, due + kLookahead);
-  yield_at_ = std::min(yield_at_, due + kLookahead);
+  const uint64_t reach = ReachOf(cpu->machine_, due);
+  horizon_ = std::min(horizon_, reach);
+  yield_at_ = std::min(yield_at_, reach);
 }
 
 }  // namespace xok::hw

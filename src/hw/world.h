@@ -15,19 +15,23 @@
 //
 // Across machines the World uses conservative lookahead, as in the
 // Chandy-Misra-Bryant null-message protocol. Machines interact only through
-// the wire, and a frame cannot land sooner than kLookahead = the
-// receiving controller's latency + a minimum-size frame's serialisation =
-// kNicControllerLatency + Nic::kMinFrameBytes * kWireCyclesPerByte =
-// 1000 + 14 * 20 = 1280 cycles after its sender's clock. So a running CPU
-// yields to another machine's context only once its clock reaches that
-// context's key + kLookahead, and Schedule keeps dispatching the current
-// machine's CPUs, scanning only that machine's contexts, while the
-// machine's next key stays below the other machines' lowest key +
-// kLookahead. Then it moves to the machine with the lowest key. Every frame
-// is thus on its receiver's queue before the receiver's clock reaches its
-// arrival, and with same-cycle events ordered by origin machine
-// (Cpu::PushEvent) each machine computes exactly what it would under
-// strict global lowest-clock order.
+// the wire, and a frame cannot land sooner than every charge on its way
+// after its sender's clock: the sender's copy of a minimum-size frame and
+// its controller's latency (Nic::Transmit), then the frame's serialisation
+// and the receiving controller's latency, 16 + 1000 + 14 * 20 + 1000 = 2296
+// cycles. A ready context's key is already its clock + 1, so kLookahead is
+// 2295. A CPU may yield inside Transmit's charges, though, and then the
+// frame may have paid the sender's part: while a machine's NIC has such a
+// frame it takes the wire's part alone, kSendingLookahead = 1279. A
+// machine's reach is its lowest key plus the lookahead that applies. A
+// running CPU yields to another machine only once its clock reaches that
+// machine's reach, and Schedule keeps dispatching the current machine's
+// CPUs, scanning only that machine's contexts, while the machine's next key
+// stays below the other machines' lowest reach. Then it moves to the
+// machine with the lowest key. Every frame is thus on its receiver's queue
+// before the receiver's clock reaches its arrival, and with same-cycle
+// events ordered by origin machine (Cpu::PushEvent) each machine computes
+// exactly what it would under strict global lowest-clock order.
 //
 // This is the simulator's only interleaver, and every context it schedules
 // is exactly one CPU. Run starts each machine's body as a context on CPU 0,
@@ -77,7 +81,7 @@ class World {
 
   // True if the currently-running context should hand control back: its
   // clock has reached the key of another context of its machine, or
-  // another machine's lowest key + kLookahead. Checked from Cpu::Charge.
+  // another machine's reach. Checked from Cpu::Charge.
   bool ShouldYield(uint64_t now) const { return now >= yield_at_; }
 
   // Saves the running context and re-enters the scheduler.
@@ -137,7 +141,11 @@ class World {
   void ResumeCtx(Ctx* ctx);
   // Sets yield_at_ for `ctx` by a scan of every machine.
   void SetYieldAt(const Ctx& ctx);
-  // The lowest key of every machine but `current`, + kLookahead.
+  // How far another machine may run while `machine`'s lowest key is
+  // `key`: key + kLookahead, or key + kSendingLookahead while one of its
+  // CPUs is inside Nic::Transmit.
+  static uint64_t ReachOf(const Machine& machine, uint64_t key);
+  // The lowest reach of every machine but `current`.
   uint64_t HorizonFor(size_t current) const;
   // Adds a ready context running `body` on `machine`'s CPU `cpu`, at its
   // place in CPU order.

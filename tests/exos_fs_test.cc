@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +32,33 @@ class FsTest : public ::testing::Test {
   aegis::Aegis kernel_;
   hw::Disk disk_;
 };
+
+// --- The journal checksum ---
+
+TEST(JournalChecksumTest, DetectsWordSwapsInAndAcrossLanesAndTopBitFlipPairs) {
+  // A full block, and a descriptor header's span (its last word and a
+  // half-word tail run after the lanes fold).
+  for (const size_t bytes : {hw::kPageBytes, hw::kPageBytes - 4}) {
+    std::vector<uint8_t> block(bytes);
+    for (size_t i = 0; i < block.size(); ++i) {
+      block[i] = static_cast<uint8_t>(i * 7 + i / 251);
+    }
+    const uint32_t base = JournalChecksum(block);
+    const auto swapped = [&block](size_t a, size_t b) {
+      std::vector<uint8_t> copy = block;
+      std::swap_ranges(copy.begin() + a * 8, copy.begin() + a * 8 + 8, copy.begin() + b * 8);
+      return JournalChecksum(copy);
+    };
+    // Word i feeds lane i % 4.
+    EXPECT_NE(swapped(8, 12), base) << bytes << " bytes: same lane";
+    EXPECT_NE(swapped(9, 10), base) << bytes << " bytes: adjacent lanes";
+    std::vector<uint8_t> flipped = block;
+    flipped[5 * 8 + 7] ^= 0x80;  // Bit 63 of word 5 (lane 1)...
+    flipped[6 * 8 + 7] ^= 0x80;  // ...and of word 6 (lane 2).
+    EXPECT_NE(JournalChecksum(flipped), base) << bytes << " bytes: bit 63 in two lanes";
+    EXPECT_EQ(JournalChecksum(block), base);
+  }
+}
 
 // --- Aegis disk extent bindings ---
 

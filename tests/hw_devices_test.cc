@@ -257,6 +257,103 @@ TEST_F(DiskDurabilityTest, PowerCutTornWriteLandsPrefixOfNewWords) {
   });
 }
 
+// --- The platter as blocks: a barrier moves buffered blocks, not bytes ---
+
+TEST_F(DiskDurabilityTest, BlockRewrittenAfterABarrierReadsBackItsNewBytes) {
+  RunOnCpu([&] {
+    FillFrame(2, 1);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(6, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    // The barrier moved the buffered block onto the platter; a rewrite
+    // must not land in it.
+    FillFrame(2, 2);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(6, 2)).ok());
+    EXPECT_EQ(disk_.TakeImage()[6 * kPageBytes + 1], static_cast<uint8_t>(3 + 1));
+    auto frame3 = machine_.mem().PageSpan(3);
+    ASSERT_TRUE(Retire(disk_.SubmitRead(6, 3)).ok());
+    for (size_t i = 0; i < kPageBytes; ++i) {
+      ASSERT_EQ(frame3[i], static_cast<uint8_t>(i * 3 + 2)) << "byte " << i;
+    }
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    EXPECT_EQ(disk_.TakeImage()[6 * kPageBytes + 1], static_cast<uint8_t>(3 + 2));
+  });
+}
+
+TEST_F(DiskDurabilityTest, PowerCutBeforeTheNextBarrierKeepsTheOldDurableBytes) {
+  RunOnCpu([&] {
+    FillFrame(2, 40);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(8, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    FillFrame(2, 41);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(8, 2)).ok());
+    disk_.PowerCut();
+    const std::vector<uint8_t> image = disk_.TakeImage();
+    for (size_t i = 0; i < kPageBytes; ++i) {
+      ASSERT_EQ(image[8 * kPageBytes + i], static_cast<uint8_t>(i * 3 + 40)) << "byte " << i;
+    }
+  });
+}
+
+TEST_F(DiskDurabilityTest, TornWriteOntoANeverWrittenBlockLandsItsPrefixOverZeros) {
+  RunOnCpu([&] {
+    FillFrame(2, 7);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(11, 2)).ok());
+    FaultPlan plan;
+    plan.seed = 78;
+    plan.disk_torn_per_mille = 1000;
+    FaultInjector injector(plan);
+    disk_.set_fault_injector(&injector);
+    disk_.PowerCut();
+    ASSERT_EQ(injector.blocks_torn(), 1u);
+    const std::vector<uint8_t> image = disk_.TakeImage();
+    const uint8_t* block = &image[11 * kPageBytes];
+    size_t boundary = 0;
+    while (boundary < kPageBytes && block[boundary] == static_cast<uint8_t>(boundary * 3 + 7)) {
+      ++boundary;
+    }
+    EXPECT_GT(boundary, 0u);
+    EXPECT_LT(boundary, kPageBytes);
+    EXPECT_EQ(boundary % 4, 0u);
+    for (size_t i = boundary; i < kPageBytes; ++i) {
+      ASSERT_EQ(block[i], 0u) << "byte " << i;
+    }
+  });
+}
+
+TEST_F(DiskDurabilityTest, RestoreImageOntoAUsedDiskZeroesBlocksAbsentFromTheImage) {
+  RunOnCpu([&] {
+    Disk other(machine_, 128);
+    const auto retire_other = [&](Result<uint64_t> id) {
+      ASSERT_TRUE(id.ok());
+      machine_.WaitForInterrupt();
+      ASSERT_TRUE(other.Complete(*id).ok());
+    };
+    FillFrame(2, 50);
+    retire_other(other.SubmitWrite(4, 2));
+    retire_other(other.SubmitBarrier());
+    const std::vector<uint8_t> image = other.TakeImage();
+
+    // disk_ holds a durable block 3 and a buffered block 5, neither in the
+    // image.
+    FillFrame(2, 60);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(3, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(5, 2)).ok());
+    ASSERT_EQ(disk_.RestoreImage(image), Status::kOk);
+    EXPECT_EQ(disk_.buffered_blocks(), 0u);
+    EXPECT_EQ(disk_.TakeImage(), image);
+    auto frame3 = machine_.mem().PageSpan(3);
+    for (const uint32_t block : {3u, 5u}) {
+      std::fill(frame3.begin(), frame3.end(), uint8_t{0xa5});
+      ASSERT_TRUE(Retire(disk_.SubmitRead(block, 3)).ok());
+      EXPECT_TRUE(std::all_of(frame3.begin(), frame3.end(), [](uint8_t b) { return b == 0; }))
+          << "block " << block;
+    }
+    ASSERT_TRUE(Retire(disk_.SubmitRead(4, 3)).ok());
+    EXPECT_EQ(frame3[1], static_cast<uint8_t>(3 + 50));
+  });
+}
+
 TEST(FaultInjectorTest, ScheduledDiskErrorFiresOnceWithoutADraw) {
   // A scheduled disk error fails the first completion at or after its
   // cycle and leaves the stochastic stream exactly where it was.

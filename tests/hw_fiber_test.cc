@@ -7,8 +7,11 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
+
+#include "src/hw/mapping.h"
 
 namespace xok::hw {
 namespace {
@@ -134,6 +137,57 @@ TEST(Fiber, NewFiberStartsOnA16ByteAlignedFrame) {
   EXPECT_EQ(address % 16, 0u);
 }
 
+TEST(Fiber, RecycledStackStartsFromACleanFirstFrame) {
+  Fiber main_fiber;
+  Fiber* child_ptr = nullptr;
+  uintptr_t first_address = 0;
+  {
+    // Leaves its stack dirty: a suspended frame over scribbled locals, and
+    // a rounding mode of its own.
+    Fiber first([&] {
+      volatile uint8_t local[256];
+      for (volatile uint8_t& byte : local) {
+        byte = 0xee;
+      }
+      first_address = reinterpret_cast<uintptr_t>(&local[0]);
+      std::fesetround(FE_UPWARD);
+      for (;;) {
+        Fiber::Switch(*child_ptr, main_fiber);
+      }
+    });
+    child_ptr = &first;
+    Fiber::Switch(main_fiber, first);
+  }  // Destroyed while suspended: its stack goes back to the free list.
+
+  const uint64_t mappings = Mapping::made();
+  int rounding = -1;
+  uintptr_t address = 1;
+  int counter = 0;
+  Fiber second([&] {
+    rounding = std::fegetround();
+    alignas(16) volatile uint8_t aligned[16] = {};
+    address = reinterpret_cast<uintptr_t>(&aligned[0]);
+    int local = 0;  // Stack-local state must survive switches.
+    for (;;) {
+      ++local;
+      counter = local;
+      Fiber::Switch(*child_ptr, main_fiber);
+    }
+  });
+  child_ptr = &second;
+  EXPECT_EQ(Mapping::made(), mappings) << "the second fiber mapped a fresh stack";
+  for (int round = 0; round < 5; ++round) {
+    Fiber::Switch(main_fiber, second);
+  }
+  EXPECT_EQ(counter, 5);
+  EXPECT_EQ(rounding, FE_TONEAREST);
+  EXPECT_EQ(address % 16, 0u);
+  // It runs on the first fiber's stack.
+  const uintptr_t distance =
+      address > first_address ? address - first_address : first_address - address;
+  EXPECT_LT(distance, Fiber::kDefaultStackBytes);
+}
+
 // Recurses with a live buffer in every frame until the stack runs out; the
 // buffer's address escapes, so the recursion cannot become a loop.
 [[gnu::noinline]] uint8_t Recurse(volatile uint8_t* caller, uint64_t depth) {
@@ -145,7 +199,7 @@ TEST(Fiber, NewFiberStartsOnA16ByteAlignedFrame) {
   return static_cast<uint8_t>(Recurse(frame, depth + 1) + 1);
 }
 
-void OverflowAFiberStack() {
+void OverflowAFiberStack(size_t stack_bytes) {
   Fiber main_fiber;
   Fiber* child_ptr = nullptr;
   Fiber child(
@@ -156,17 +210,43 @@ void OverflowAFiberStack() {
           Fiber::Switch(*child_ptr, main_fiber);
         }
       },
-      64 * 1024);
+      stack_bytes);
   child_ptr = &child;
+  Fiber::Switch(main_fiber, child);
+  std::fprintf(stderr, "overflowed fiber returned\n");
+}
+
+// Overflows a default-size stack that an earlier fiber used. Exits cleanly,
+// which fails the death test, if the stack was mapped afresh instead.
+void OverflowARecycledFiberStack() {
+  {
+    Fiber earlier([] { std::abort(); });  // Never run.
+  }
+  const uint64_t mappings = Mapping::made();
+  Fiber main_fiber;
+  Fiber* child_ptr = nullptr;
+  Fiber child([&] {
+    volatile uint8_t seed[1] = {0};
+    Recurse(seed, 0);
+    for (;;) {
+      Fiber::Switch(*child_ptr, main_fiber);
+    }
+  });
+  child_ptr = &child;
+  if (Mapping::made() != mappings) {
+    std::exit(0);
+  }
   Fiber::Switch(main_fiber, child);
   std::fprintf(stderr, "overflowed fiber returned\n");
 }
 
 TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage) {
 #if defined(__SANITIZE_ADDRESS__)
-  EXPECT_DEATH(OverflowAFiberStack(), "stack-overflow");
+  EXPECT_DEATH(OverflowAFiberStack(64 * 1024), "stack-overflow");
+  EXPECT_DEATH(OverflowARecycledFiberStack(), "stack-overflow");
 #else
-  EXPECT_EXIT(OverflowAFiberStack(), ::testing::KilledBySignal(SIGSEGV), "");
+  EXPECT_EXIT(OverflowAFiberStack(64 * 1024), ::testing::KilledBySignal(SIGSEGV), "");
+  EXPECT_EXIT(OverflowARecycledFiberStack(), ::testing::KilledBySignal(SIGSEGV), "");
 #endif
 }
 

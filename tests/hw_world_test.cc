@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/hw/machine.h"
+#include "src/hw/nic.h"
 
 namespace xok::hw {
 namespace {
@@ -261,9 +264,9 @@ TEST(World, MachinesRunAheadByTheWireLookahead) {
   // Two unconnected machines charge one cycle at a time. Strict global
   // lowest-clock order would hand the host thread to the other machine on
   // nearly every cycle. No frame can reach another machine sooner than
-  // 1280 cycles after its sender's clock, so each machine may run that far
-  // past the other's clock, and every switch between machines must be
-  // paid for by more than 1280 cycles of progress.
+  // 2296 cycles after its sender's clock, so each machine may run 2295
+  // cycles past the other's key (its clock + 1), and every switch between
+  // machines must be paid for by at least 2295 cycles of progress.
   World world;
   Machine a(Machine::Config{.phys_pages = 16, .name = "a"}, &world);
   Machine b(Machine::Config{.phys_pages = 16, .name = "b"}, &world);
@@ -284,7 +287,68 @@ TEST(World, MachinesRunAheadByTheWireLookahead) {
   world.Run({body(a, 0), body(b, 1)});
   const uint64_t total = a.clock().now() + b.clock().now();
   ASSERT_EQ(total, 2u * kSteps);
-  EXPECT_LE(switches * 1280, total) << switches << " machine switches";
+  EXPECT_LE(switches * 2295, total) << switches << " machine switches";
+}
+
+TEST(World, FrameWhoseSenderYieldsInsideTransmitLandsAtItsArrival) {
+  // A sender can yield inside Nic::Transmit's charges, after paying its own
+  // part of the frame's flight, so the frame may land only the wire's part
+  // after that clock. The receiver looks at its ring every 9 cycles and must
+  // find each frame at its first look at or after the arrival, as under
+  // strict order, not up to the sender's part (1016 cycles) later.
+  World world;
+  Machine a(Machine::Config{.phys_pages = 16, .name = "a"}, &world);
+  Machine b(Machine::Config{.phys_pages = 16, .name = "b"}, &world);
+  Nic na(a, 0xa);
+  Nic nb(b, 0xb);
+  Wire wire;
+  wire.Attach(&na);
+  wire.Attach(&nb);
+  constexpr int kFrames = 64;
+  constexpr size_t kFrameBytes = 22;  // Header + the arrival cycle.
+  constexpr uint64_t kGap = 3001;     // Longer than a frame's wire time.
+  constexpr uint64_t kLookCycles = 1 + Instr(4);
+  uint64_t b_looks = 0;
+  int sent_across_a_yield = 0;
+  world.Run({[&] {
+               for (int i = 0; i < kFrames; ++i) {
+                 while (a.clock().now() < (i + 1) * kGap) {
+                   a.Charge(1);
+                 }
+                 std::vector<uint8_t> frame(kFrameBytes, 0);
+                 frame[5] = 0xb;   // Destination MAC.
+                 frame[11] = 0xa;  // Source MAC.
+                 const uint64_t sent = a.clock().now() +
+                                       kMemWordCopy * ((kFrameBytes + 3) / 4) +
+                                       kNicControllerLatency;
+                 const uint64_t arrival =
+                     sent + kFrameBytes * kWireCyclesPerByte + kNicControllerLatency;
+                 std::memcpy(&frame[14], &arrival, sizeof(arrival));
+                 const uint64_t looks = b_looks;
+                 ASSERT_TRUE(na.Transmit(frame));
+                 ASSERT_EQ(a.clock().now(), sent);
+                 sent_across_a_yield += b_looks != looks ? 1 : 0;
+               }
+             },
+             [&] {
+               for (int received = 0; received < kFrames;) {
+                 b.Charge(1);
+                 ++b_looks;
+                 std::optional<std::vector<uint8_t>> frame = nb.ReceiveNext();
+                 if (!frame.has_value()) {
+                   continue;
+                 }
+                 uint64_t arrival = 0;
+                 std::memcpy(&arrival, &(*frame)[14], sizeof(arrival));
+                 EXPECT_GE(b.clock().now(), arrival) << "frame " << received;
+                 EXPECT_LT(b.clock().now(), arrival + kLookCycles) << "frame " << received;
+                 ++received;
+               }
+             }});
+  EXPECT_EQ(nb.frames_received(), uint64_t{kFrames});
+  // The case under test happened: the receiver ran while a sender was
+  // inside Transmit.
+  EXPECT_GT(sent_across_a_yield, 0);
 }
 
 TEST(World, QuiescesWhenAllMachinesParkForever) {

@@ -26,6 +26,7 @@
 #include "src/exos/process.h"
 #include "src/exos/server/loadgen.h"
 #include "src/hw/machine.h"
+#include "src/hw/mapping.h"
 #include "src/hw/world.h"
 
 namespace xok::exos::server {
@@ -101,6 +102,19 @@ TEST(Rack, PinnedFingerprints) {
     EXPECT_EQ(r.fingerprint, fingerprint) << "seed " << seed << ": 0x" << std::hex
                                           << r.fingerprint;
   }
+}
+
+TEST(Rack, SecondRunMapsOnlyItsMachinesMemory) {
+  // Host work, not simulated: a first rack returns its fiber stacks to the
+  // free list, so an identical second one maps each machine's physical
+  // memory and nothing else (no fiber stack, no disk platter).
+  RackConfig config = SmallRack(4);
+  config.requests_per_lane = 0;
+  ASSERT_TRUE(RunRack(config).ok);
+  const uint64_t before = hw::Mapping::made();
+  const RackResult r = RunRack(config);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(hw::Mapping::made() - before, 1u + config.server_machines);
 }
 
 TEST(Rack, PowerCutFailsOverAndJournalRecovers) {
