@@ -12,8 +12,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -198,20 +200,33 @@ class Table {
 
   void AddRow(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
 
+  // Each column is as wide as its widest cell plus a two-space gap.
   void Print() const {
-    std::printf("\n=== %s ===\n", title_.c_str());
-    PrintCells(columns_);
-    std::printf("%s\n", std::string(16 * columns_.size(), '-').c_str());
+    std::vector<size_t> widths;
+    auto widen = [&widths](const std::vector<std::string>& cells) {
+      widths.resize(std::max(widths.size(), cells.size()), 0);
+      for (size_t i = 0; i < cells.size(); ++i) {
+        widths[i] = std::max(widths[i], cells[i].size() + 2);
+      }
+    };
+    widen(columns_);
     for (const auto& row : rows_) {
-      PrintCells(row);
+      widen(row);
+    }
+    const size_t rule = std::accumulate(widths.begin(), widths.end(), size_t{0});
+    std::printf("\n=== %s ===\n", title_.c_str());
+    PrintCells(columns_, widths);
+    std::printf("%s\n", std::string(rule, '-').c_str());
+    for (const auto& row : rows_) {
+      PrintCells(row, widths);
     }
     std::printf("\n");
   }
 
  private:
-  static void PrintCells(const std::vector<std::string>& cells) {
-    for (const auto& cell : cells) {
-      std::printf("%-16s", cell.c_str());
+  static void PrintCells(const std::vector<std::string>& cells, const std::vector<size_t>& widths) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      std::printf("%-*s", static_cast<int>(widths[i]), cells[i].c_str());
     }
     std::printf("\n");
   }

@@ -21,6 +21,13 @@ bool ReadField(std::span<const uint8_t> msg, uint32_t offset, uint8_t width, uin
   return true;
 }
 
+// The first edge of a sorted fan-out whose field value is not below `value`.
+template <typename Edges>
+auto LowerEdge(Edges& next, uint32_t value) {
+  return std::lower_bound(next.begin(), next.end(), value,
+                          [](const auto& edge, uint32_t v) { return edge.first < v; });
+}
+
 }  // namespace
 
 vcode::Program DpfEngine::CompileOne(const FilterSpec& filter, FilterId id) {
@@ -60,6 +67,9 @@ Result<FilterId> DpfEngine::Insert(const FilterSpec& filter) {
   bound.live = true;
   filters_.push_back(std::move(bound));
   filters_.back().in_trie = TryTrieInsert(filter, id);
+  if (!filters_.back().in_trie) {
+    overflow_.push_back(id);  // The newest id: the list stays sorted.
+  }
   return id;
 }
 
@@ -70,6 +80,11 @@ Status DpfEngine::Remove(FilterId id) {
   filters_[id].live = false;
   RebuildTrie();
   return Status::kOk;
+}
+
+uint32_t DpfEngine::State::Child(uint32_t value) const {
+  const auto it = LowerEdge(next, value);
+  return it != next.end() && it->first == value ? it->second : 0;
 }
 
 bool DpfEngine::TryTrieInsert(const FilterSpec& filter, FilterId id) {
@@ -87,11 +102,11 @@ bool DpfEngine::TryTrieInsert(const FilterSpec& filter, FilterId id) {
     if (!s.has_key) {
       break;  // Fresh tail from here on: always insertable.
     }
-    auto it = s.next.find(atom.value);
-    if (it == s.next.end()) {
+    const uint32_t child = s.Child(atom.value);
+    if (child == 0) {
       break;
     }
-    state = it->second;
+    state = child;
   }
   // Second pass: insert.
   state = 0;
@@ -102,15 +117,15 @@ bool DpfEngine::TryTrieInsert(const FilterSpec& filter, FilterId id) {
       s.has_key = true;
       s.key = key;
     }
-    auto it = s.next.find(atom.value);
-    if (it != s.next.end()) {
+    const auto it = LowerEdge(s.next, atom.value);
+    if (it != s.next.end() && it->first == atom.value) {
       state = it->second;
     } else {
+      const uint32_t fresh_index = static_cast<uint32_t>(states_.size());
+      s.next.insert(it, {atom.value, fresh_index});
       State fresh;
       fresh.depth = s.depth + 1;
-      states_.push_back(fresh);
-      const uint32_t fresh_index = static_cast<uint32_t>(states_.size() - 1);
-      states_[state].next.emplace(atom.value, fresh_index);
+      states_.push_back(std::move(fresh));  // Invalidates `s`.
       state = fresh_index;
     }
   }
@@ -123,20 +138,16 @@ bool DpfEngine::TryTrieInsert(const FilterSpec& filter, FilterId id) {
 
 void DpfEngine::RebuildTrie() {
   states_.assign(1, State{});
+  overflow_.clear();
   for (FilterId id = 0; id < filters_.size(); ++id) {
     Bound& bound = filters_[id];
     if (bound.live) {
       bound.in_trie = TryTrieInsert(bound.spec, id);
+      if (!bound.in_trie) {
+        overflow_.push_back(id);
+      }
     }
   }
-}
-
-size_t DpfEngine::overflow_filters() const {
-  size_t n = 0;
-  for (const Bound& bound : filters_) {
-    n += (bound.live && !bound.in_trie) ? 1 : 0;
-  }
-  return n;
 }
 
 std::optional<FilterId> DpfEngine::Classify(std::span<const uint8_t> msg) {
@@ -161,19 +172,17 @@ std::optional<FilterId> DpfEngine::Classify(std::span<const uint8_t> msg) {
     if (!ReadField(msg, s.key.offset, s.key.width, &field)) {
       break;
     }
-    auto it = s.next.find(field & s.key.mask);
-    if (it == s.next.end()) {
+    const uint32_t child = s.Child(field & s.key.mask);
+    if (child == 0) {
       break;
     }
-    state = it->second;
+    state = child;
   }
 
-  // Overflow chain: individually compiled straight-line programs.
-  for (FilterId id = 0; id < filters_.size(); ++id) {
+  // Overflow chain: individually compiled straight-line programs, in id
+  // order so equal-depth ties go to the lowest id.
+  for (const FilterId id : overflow_) {
     const Bound& bound = filters_[id];
-    if (!bound.live || bound.in_trie) {
-      continue;
-    }
     vcode::ExecEnv env{msg, {}, nullptr};
     const vcode::ExecResult run = vcode::Execute(bound.program, env);
     sim_cycles_ += Instr(2) * run.ops_executed;  // Compiled-code cost.

@@ -15,15 +15,23 @@
 // overflow chain of individually-compiled programs, evaluated after the
 // trie; correctness never depends on mergeability.
 //
-// Cost model: each trie step costs Instr(6) (load + mask + hash dispatch in
-// generated code) and each overflow-program instruction costs Instr(2),
-// reflecting compiled-code execution. Compare mpf.h / pathfinder.h.
+// Cost model: a classification costs an Instr(4) prologue, Instr(3) per trie
+// step (load + mask + hash dispatch in generated code) and Instr(2) per
+// overflow-program instruction, reflecting compiled-code execution. Compare
+// mpf.h / pathfinder.h.
+//
+// Host representation: the simulator keeps each divergence point's fan-out
+// as an array sorted by field value and binary-searches it, and keeps the
+// overflow chain as a sorted list of live filter ids. Only the host's data
+// structures differ from the modelled code; the charges above still price
+// the compiled hash dispatch and are independent of how the host finds the
+// next state.
 #ifndef XOK_SRC_DPF_DPF_H_
 #define XOK_SRC_DPF_DPF_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/dpf/filter.h"
@@ -44,7 +52,7 @@ class DpfEngine final : public ClassifierEngine {
 
   // Introspection for tests and the merge ablation.
   size_t trie_states() const { return states_.size(); }
-  size_t overflow_filters() const;
+  size_t overflow_filters() const { return overflow_.size(); }
 
   // Ablation control: with merging disabled every filter runs as its own
   // compiled straight-line program (no shared-prefix trie), isolating the
@@ -70,9 +78,13 @@ class DpfEngine final : public ClassifierEngine {
   struct State {
     bool has_key = false;
     AtomKey key;
-    std::unordered_map<uint32_t, uint32_t> next;  // Field value -> state index.
-    int32_t accept = -1;                          // Filter ending at this state.
-    uint32_t depth = 0;                           // Atoms consumed to get here.
+    // (field value, state index), sorted by field value.
+    std::vector<std::pair<uint32_t, uint32_t>> next;
+    int32_t accept = -1;  // Filter ending at this state.
+    uint32_t depth = 0;   // Atoms consumed to get here.
+
+    // The state reached on `value`, or 0 (the root, never a child) if none.
+    uint32_t Child(uint32_t value) const;
   };
 
   struct Bound {
@@ -88,6 +100,7 @@ class DpfEngine final : public ClassifierEngine {
 
   std::vector<State> states_{State{}};  // states_[0] is the root.
   std::vector<Bound> filters_;
+  std::vector<FilterId> overflow_;  // Live filters not in the trie, by id.
   bool merging_enabled_ = true;
   uint64_t sim_cycles_ = 0;
 };

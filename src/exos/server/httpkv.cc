@@ -1,7 +1,7 @@
 #include "src/exos/server/httpkv.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "src/hw/cost.h"
 #include "src/net/wire.h"
@@ -46,6 +46,14 @@ namespace {
 bool ValidKeyChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
          c == '_' || c == '.' || c == '-';
+}
+
+// Appends the decimal digits of `value`, as printf's %d/%u/%zu would.
+template <typename T>
+void AppendDecimal(std::string& out, T value) {
+  char digits[24];
+  const std::to_chars_result end = std::to_chars(digits, digits + sizeof(digits), value);
+  out.append(digits, end.ptr);
 }
 
 // Finds "\r\n" in text[from..limit); npos-style -1 when absent.
@@ -198,7 +206,7 @@ uint16_t BodySum(std::string_view body) {
 
 std::string BuildHttpResponse(int status, std::string_view body, uint16_t body_sum,
                               const ResponseOptions& opts) {
-  const char* reason = "OK";
+  std::string_view reason;
   switch (status) {
     case 200: reason = "OK"; break;
     case 201: reason = "Created"; break;
@@ -207,15 +215,25 @@ std::string BuildHttpResponse(int status, std::string_view body, uint16_t body_s
     case 503: reason = "Service Unavailable"; break;
     default: reason = "Error"; break;
   }
-  char head[96];
-  std::snprintf(head, sizeof(head),
-                "HTTP/1.0 %d %s\r\nContent-Length: %zu\r\nX-Sum: %04x\r\n", status,
-                reason, body.size(), body_sum);
-  std::string out(head);
+  // The longest head (every header, every number at its widest) is 132 bytes.
+  std::string out;
+  out.reserve(160 + body.size());
+  out.append("HTTP/1.0 ");
+  AppendDecimal(out, status);
+  out.push_back(' ');
+  out.append(reason);
+  out.append("\r\nContent-Length: ");
+  AppendDecimal(out, body.size());
+  out.append("\r\nX-Sum: ");
+  constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 12; shift >= 0; shift -= 4) {
+    out.push_back(kHex[(body_sum >> shift) & 0xf]);
+  }
+  out.append("\r\n");
   if (opts.retry_after_us > 0) {
-    char retry[40];
-    std::snprintf(retry, sizeof(retry), "Retry-After: %u\r\n", opts.retry_after_us);
-    out.append(retry);
+    out.append("Retry-After: ");
+    AppendDecimal(out, opts.retry_after_us);
+    out.append("\r\n");
   }
   if (opts.stale) {
     out.append("X-Stale: 1\r\n");
@@ -226,18 +244,22 @@ std::string BuildHttpResponse(int status, std::string_view body, uint16_t body_s
 }
 
 std::string BuildGetRequest(std::string_view key) {
-  std::string out("GET /");
+  std::string out;
+  out.reserve(key.size() + 20);
+  out.append("GET /");
   out.append(key);
   out.append(" HTTP/1.0\r\n\r\n");
   return out;
 }
 
 std::string BuildPutRequest(std::string_view key, std::string_view body) {
-  char head[64];
-  std::snprintf(head, sizeof(head), " HTTP/1.0\r\nContent-Length: %zu\r\n\r\n", body.size());
-  std::string out("PUT /");
+  std::string out;
+  out.reserve(key.size() + body.size() + 64);
+  out.append("PUT /");
   out.append(key);
-  out.append(head);
+  out.append(" HTTP/1.0\r\nContent-Length: ");
+  AppendDecimal(out, body.size());
+  out.append("\r\n\r\n");
   out.append(body);
   return out;
 }

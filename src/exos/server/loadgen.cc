@@ -1,10 +1,9 @@
 #include "src/exos/server/loadgen.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/exos/revocation.h"
 #include "src/exos/tracelib.h"
@@ -76,22 +75,36 @@ std::string MalformedText(SplitMix& rng, std::string_view key) {
   }
 }
 
+// Pad byte i of the image for (key hash h, version) is
+// 'a' + (h + version + i) % 26, with h + version wrapping at 32 bits.
+uint32_t PadLetter(uint32_t h, uint32_t version, size_t i) {
+  return static_cast<uint32_t>((static_cast<uint64_t>(h + version) + i) % 26);
+}
+
 }  // namespace
 
 std::string LoadKeyName(uint32_t i) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "k%03u", i);
-  return buf;
+  // "k%03u": the index zero-padded to at least three digits.
+  char digits[10];
+  char* const end = std::to_chars(digits, digits + sizeof(digits), i).ptr;
+  const size_t n = static_cast<size_t>(end - digits);
+  std::string name(1 + std::max<size_t>(n, 3), '0');
+  name[0] = 'k';
+  std::copy(digits, end, name.end() - static_cast<ptrdiff_t>(n));
+  return name;
 }
 
 std::string MakeValue(std::string_view key, uint32_t version, uint32_t value_bytes) {
-  std::string value(key);
-  value += '#';
-  value += std::to_string(version);
-  value += '#';
-  const uint32_t h = KeyHash(key);
-  while (value.size() < value_bytes) {
-    value += static_cast<char>('a' + (h + version + value.size()) % 26);
+  char digits[10];
+  char* const digits_end = std::to_chars(digits, digits + sizeof(digits), version).ptr;
+  const size_t head = key.size() + 2 + static_cast<size_t>(digits_end - digits);
+  std::string value(std::max<size_t>(head, value_bytes), '#');
+  char* out = std::copy(key.begin(), key.end(), value.data()) + 1;
+  out = std::copy(digits, digits_end, out) + 1;
+  uint32_t letter = PadLetter(KeyHash(key), version, head);
+  for (char* const end = value.data() + value.size(); out != end; ++out) {
+    *out = static_cast<char>('a' + letter);
+    letter = letter == 25 ? 0 : letter + 1;
   }
   return value;
 }
@@ -105,6 +118,9 @@ int ParseValueVersion(std::string_view key, std::string_view body, uint32_t valu
   if (end == std::string_view::npos || end == prefix || end - prefix > 9) {
     return -1;
   }
+  if (body[prefix] == '0' && end - prefix > 1) {
+    return -1;  // MakeValue never writes a leading zero.
+  }
   uint32_t version = 0;
   for (size_t i = prefix; i < end; ++i) {
     if (body[i] < '0' || body[i] > '9') {
@@ -112,8 +128,18 @@ int ParseValueVersion(std::string_view key, std::string_view body, uint32_t valu
     }
     version = version * 10 + static_cast<uint32_t>(body[i] - '0');
   }
-  // Every byte must match the canonical image, padding included.
-  return body == MakeValue(key, version, value_bytes) ? static_cast<int>(version) : -1;
+  // Every other byte must match the canonical image, padding included.
+  if (body.size() != std::max<size_t>(end + 1, value_bytes)) {
+    return -1;
+  }
+  uint32_t letter = PadLetter(KeyHash(key), version, end + 1);
+  for (size_t i = end + 1; i < body.size(); ++i) {
+    if (body[i] != static_cast<char>('a' + letter)) {
+      return -1;
+    }
+    letter = letter == 25 ? 0 : letter + 1;
+  }
+  return static_cast<int>(version);
 }
 
 std::vector<std::pair<std::string, std::string>> MakePreload(uint32_t keys,
@@ -182,6 +208,10 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   };
 
   const std::string hot_key = target.hot_key.empty() ? LoadKeyName(0) : target.hot_key;
+  std::vector<std::string> key_names(config.keys);
+  for (uint32_t i = 0; i < config.keys; ++i) {
+    key_names[i] = LoadKeyName(i);
+  }
 
   UdpSocket sock(proc, target.iface);
   Status bound = sock.BindRing(config.client_port, config.ring);
@@ -262,7 +292,15 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   std::vector<uint32_t> latest_version(config.keys, 0);
 
   std::unordered_map<uint32_t, Pending> outstanding;
-  std::unordered_set<uint32_t> done_ids;
+  // Answered or TTL-abandoned requests, indexed by id: data and QUIT ids
+  // run densely from 1 (probe ids are recognised by their range instead).
+  std::vector<bool> done_ids;
+  auto mark_done = [&](uint32_t id) {
+    if (id >= done_ids.size()) {
+      done_ids.resize(id + 1);
+    }
+    done_ids[id] = true;
+  };
   std::vector<uint64_t> latencies;
   std::vector<uint64_t> hot_latencies;
   // (req id, first-send -> ack) per acked data request: the SLO ledger
@@ -338,7 +376,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
     const uint64_t ttl = pending.deadline;  // Into the envelope (0 = none).
     const uint32_t draw = rng.Below(1000);
     const uint32_t key_index = draw_key();
-    const std::string key = LoadKeyName(key_index);
+    const std::string& key = key_names[key_index];
     if (draw < config.malformed_per_mille) {
       pending.kind = Kind::kMalformed;
       pending.expect_status = 400;
@@ -505,7 +543,8 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
       }
       auto it = outstanding.find(view.req_id);
       if (it == outstanding.end()) {
-        if (done_ids.count(view.req_id) > 0 || view.req_id >= kProbeIdBase) {
+        if ((view.req_id < done_ids.size() && done_ids[view.req_id]) ||
+            view.req_id >= kProbeIdBase) {
           ++stats.dup_acks;  // Second answer to a retried request.
         } else {
           ++stats.unexpected;
@@ -561,7 +600,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
         // versions are legal after a worker restart; anything else is
         // corruption).
         const int version = view.sum_ok
-                                ? ParseValueVersion(LoadKeyName(pending.key_index), view.body,
+                                ? ParseValueVersion(key_names[pending.key_index], view.body,
                                                     config.value_bytes)
                                 : -1;
         if (version < 0 ||
@@ -569,7 +608,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
           ++stats.corrupt;
         }
       }
-      done_ids.insert(view.req_id);
+      mark_done(view.req_id);
       outstanding.erase(it);
     }
     drain_trace();
@@ -622,7 +661,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
       for (uint32_t id : expired) {
         outstanding.erase(id);
         ++stats.ttl_abandoned;
-        done_ids.insert(id);  // A late answer is a dup, not "unexpected".
+        mark_done(id);  // A late answer is a dup, not "unexpected".
       }
     }
 

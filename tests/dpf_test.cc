@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -298,6 +300,229 @@ TEST(DpfCompile, SingleFilterProgramVerifies) {
   auto miss = TcpPacket(1, 2, 3, 5);
   vcode::ExecEnv env2{miss, {}, nullptr};
   EXPECT_EQ(vcode::Execute(program, env2).value, vcode::kRejected);
+}
+
+// --- Differential test against a brute-force reference ---
+
+// The match policy spelled out: the deepest live filter whose atoms all
+// hold, the lowest id among equals (`live` iterates in id order).
+std::optional<FilterId> BruteForce(const std::map<FilterId, FilterSpec>& live,
+                                   std::span<const uint8_t> pkt) {
+  std::optional<FilterId> best;
+  size_t best_depth = 0;
+  for (const auto& [id, spec] : live) {
+    if (Matches(spec, pkt) && (!best || spec.atoms.size() > best_depth)) {
+      best = id;
+      best_depth = spec.atoms.size();
+    }
+  }
+  return best;
+}
+
+// A chain of four atom keys: filters that test a prefix of it merge into
+// one trie, with a 64-way fan-out at the third key.
+constexpr Atom kChain[] = {
+    Atom{net::kEthTypeOff, 2, 0xffff, 0},
+    Atom{net::kIpProtoOff, 1, 0xff, 0},
+    Atom{net::kUdpDstPortOff, 2, 0xffff, 0},
+    Atom{net::kUdpPayloadOff, 1, 0x0f, 0},
+};
+constexpr uint32_t kEthTypes[] = {net::kEthTypeIpv4, 0x0806};
+constexpr uint32_t kProtos[] = {net::kIpProtoUdp, net::kIpProtoTcp};
+
+FilterSpec ChainFilter(SplitMix64& rng) {
+  FilterSpec spec;
+  const size_t depth = 1 + rng.NextBelow(4);
+  for (size_t i = 0; i < depth; ++i) {
+    Atom atom = kChain[i];
+    switch (i) {
+      case 0: atom.value = kEthTypes[rng.NextBelow(2)]; break;
+      case 1: atom.value = kProtos[rng.NextBelow(2)]; break;
+      case 2: atom.value = static_cast<uint32_t>(rng.NextBelow(64)); break;
+      default: atom.value = static_cast<uint32_t>(rng.NextBelow(4)); break;
+    }
+    spec.atoms.push_back(atom);
+  }
+  return spec;
+}
+
+// Shapes that leave the chain: most test a different key where the trie
+// already has one and fall to the overflow chain; a few extend the trie.
+FilterSpec DivergentFilter(SplitMix64& rng) {
+  FilterSpec spec;
+  switch (rng.NextBelow(3)) {
+    case 0:
+      spec.atoms = {Atom{net::kIpTtlOff, 1, 0xff, static_cast<uint32_t>(rng.NextBelow(2))}};
+      break;
+    case 1:
+      spec.atoms = {Atom{kChain[0].offset, 2, 0xffff, kEthTypes[rng.NextBelow(2)]},
+                    Atom{net::kUdpDstPortOff, 2, 0x00ff,
+                         static_cast<uint32_t>(rng.NextBelow(64))}};
+      break;
+    default:
+      spec.atoms = {Atom{kChain[0].offset, 2, 0xffff, net::kEthTypeIpv4},
+                    Atom{kChain[1].offset, 1, 0xff, net::kIpProtoUdp},
+                    Atom{net::kUdpDstPortOff, 2, 0xffff,
+                         static_cast<uint32_t>(rng.NextBelow(64))},
+                    Atom{net::kUdpPayloadOff, 1, 0x0f, static_cast<uint32_t>(rng.NextBelow(4))},
+                    Atom{net::kIpTtlOff, 1, 0xff, static_cast<uint32_t>(rng.NextBelow(2))}};
+      break;
+  }
+  return spec;
+}
+
+std::vector<uint8_t> ChainPacket(SplitMix64& rng) {
+  std::vector<uint8_t> pkt(net::kUdpPayloadOff + 4, 0);
+  net::PutBe16(pkt, net::kEthTypeOff, static_cast<uint16_t>(kEthTypes[rng.NextBelow(2)]));
+  pkt[net::kIpProtoOff] = static_cast<uint8_t>(kProtos[rng.NextBelow(2)]);
+  pkt[net::kIpTtlOff] = static_cast<uint8_t>(rng.NextBelow(2));
+  uint32_t port = static_cast<uint32_t>(rng.NextBelow(66));
+  if (rng.NextBelow(8) == 0) {
+    port |= 0x100;  // Equal to a filter's port under the 0x00ff mask only.
+  }
+  net::PutBe16(pkt, net::kUdpDstPortOff, static_cast<uint16_t>(port));
+  pkt[net::kUdpPayloadOff] = static_cast<uint8_t>(rng.NextBelow(256));
+  if (rng.NextBelow(10) == 0) {
+    pkt.resize(rng.NextBelow(pkt.size()));  // Short: deep fields unreadable.
+  }
+  return pkt;
+}
+
+TEST(DpfDifferential, AgreesWithBruteForceUnderChurnAndWideFanOut) {
+  SplitMix64 rng(0x64f);
+  DpfEngine dpf;
+  std::map<FilterId, FilterSpec> live;
+  std::vector<FilterSpec> removed;
+
+  // One level with 64-way fan-out, inserted out of order.
+  std::vector<uint32_t> ports(64);
+  for (uint32_t i = 0; i < 64; ++i) {
+    ports[i] = i;
+  }
+  for (uint32_t i = 63; i > 0; --i) {
+    std::swap(ports[i], ports[rng.NextBelow(i + 1)]);
+  }
+  for (uint32_t port : ports) {
+    FilterSpec spec;
+    spec.atoms = {kChain[0], kChain[1], kChain[2]};
+    spec.atoms[0].value = net::kEthTypeIpv4;
+    spec.atoms[1].value = net::kIpProtoUdp;
+    spec.atoms[2].value = port;
+    Result<FilterId> id = dpf.Insert(spec);
+    ASSERT_TRUE(id.ok());
+    live.emplace(*id, spec);
+  }
+  EXPECT_EQ(dpf.overflow_filters(), 0u);
+
+  auto insert = [&](const FilterSpec& spec) {
+    bool duplicate = false;
+    for (const auto& [id, other] : live) {
+      duplicate = duplicate || other.atoms == spec.atoms;
+    }
+    Result<FilterId> id = dpf.Insert(spec);
+    if (duplicate) {
+      ASSERT_EQ(id.status(), Status::kErrAlreadyExists);
+    } else {
+      ASSERT_TRUE(id.ok());
+      live.emplace(*id, spec);
+    }
+  };
+  for (int step = 0; step < 1500; ++step) {
+    const uint64_t op = rng.NextBelow(20);
+    if (op < 8) {
+      insert(ChainFilter(rng));
+    } else if (op < 11) {
+      insert(DivergentFilter(rng));
+    } else if (op < 16 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<ptrdiff_t>(rng.NextBelow(live.size())));
+      ASSERT_EQ(dpf.Remove(it->first), Status::kOk);
+      EXPECT_EQ(dpf.Remove(it->first), Status::kErrNotFound);
+      removed.push_back(it->second);
+      live.erase(it);
+    } else if (!removed.empty()) {
+      insert(removed[rng.NextBelow(removed.size())]);  // Re-insert.
+    }
+    for (int p = 0; p < 8; ++p) {
+      const std::vector<uint8_t> pkt = ChainPacket(rng);
+      ASSERT_EQ(dpf.Classify(pkt), BruteForce(live, pkt)) << "step " << step << " packet " << p;
+    }
+  }
+  EXPECT_GT(live.size(), 64u);
+  EXPECT_GT(dpf.overflow_filters(), 0u);
+}
+
+TEST(DpfOverflow, ChurnedDivergentFilterCostsNothingOnceRemoved) {
+  // The chain walks live filters only: after 10,000 bind/unbind rounds of
+  // a filter the trie cannot hold, an engine classifies exactly like a
+  // fresh one that only ever held the live filters, cycle for cycle.
+  FilterSpec ttl;
+  ttl.atoms = {Atom{net::kIpTtlOff, 1, 0xff, 64}};
+  FilterSpec churn;
+  churn.atoms = {Atom{net::kIpTtlOff, 1, 0xff, 65}};
+  auto load_live = [&](DpfEngine& engine) {
+    for (uint16_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(engine.Insert(TcpConnectionFilter(10, 20, 1000 + i, 2000 + i)).ok());
+    }
+    ASSERT_TRUE(engine.Insert(ttl).ok());
+  };
+  DpfEngine churned;
+  load_live(churned);
+  for (int round = 0; round < 10000; ++round) {
+    Result<FilterId> id = churned.Insert(churn);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(churned.Remove(*id), Status::kOk);
+  }
+  DpfEngine fresh;
+  load_live(fresh);
+  EXPECT_EQ(churned.overflow_filters(), 1u);
+  EXPECT_EQ(churned.trie_states(), fresh.trie_states());
+
+  const uint64_t churned_before = churned.sim_cycles();
+  const uint64_t fresh_before = fresh.sim_cycles();
+  for (uint16_t i = 0; i < 12; ++i) {
+    auto pkt = TcpPacket(10, 20, 1000 + i, 2000 + i);
+    pkt[net::kIpTtlOff] = static_cast<uint8_t>(63 + i % 4);
+    ASSERT_EQ(churned.Classify(pkt), fresh.Classify(pkt)) << i;
+  }
+  EXPECT_EQ(churned.sim_cycles() - churned_before, fresh.sim_cycles() - fresh_before);
+}
+
+TEST(DpfCost, FixedClassifySequenceChargesPinnedCycles) {
+  // The host's fan-out representation must not move a simulated cycle: a
+  // fixed mixed workload (trie hits and misses at every depth, a wide
+  // fan-out, short packets, overflow filters) charges the pinned total.
+  DpfEngine dpf;
+  for (uint16_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(dpf.Insert(TcpConnectionFilter(10, 20, 1000 + i, 2000 + i)).ok());
+  }
+  for (uint16_t port = 0; port < 64; ++port) {
+    ASSERT_TRUE(dpf.Insert(UdpPortFilter(port)).ok());
+  }
+  SplitMix64 rng(7);
+  for (int i = 0; i < 40; ++i) {
+    (void)dpf.Insert(DivergentFilter(rng));  // Duplicates are refused.
+  }
+  for (int p = 0; p < 2000; ++p) {
+    std::vector<uint8_t> pkt;
+    switch (rng.NextBelow(3)) {
+      case 0: {
+        const auto src_port = static_cast<uint16_t>(995 + rng.NextBelow(20));
+        const auto dst_port = static_cast<uint16_t>(1995 + rng.NextBelow(20));
+        pkt = TcpPacket(10, 20, src_port, dst_port);
+        break;
+      }
+      case 1:
+        pkt = ChainPacket(rng);
+        break;
+      default:
+        pkt = net::BuildUdpFrame(1, 2, 3, 4, 9, static_cast<uint16_t>(rng.NextBelow(70)),
+                                 std::vector<uint8_t>{1});
+        break;
+    }
+    (void)dpf.Classify(pkt);
+  }
+  EXPECT_EQ(dpf.sim_cycles(), 379296u);
 }
 
 }  // namespace

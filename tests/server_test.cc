@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/rand.h"
 #include "src/dpf/dpf.h"
 #include "src/dpf/tcpip_filters.h"
 #include "src/exos/server/loadgen.h"
@@ -159,6 +160,162 @@ TEST(LoadGenValueTest, ValueImageRoundTrip) {
   ASSERT_EQ(preload.size(), 5u);
   for (const auto& [k, v] : preload) {
     EXPECT_EQ(ParseValueVersion(k, v, 48), 0);
+  }
+}
+
+// --- Exact bytes of the request-path text builders ---
+
+TEST(HttpBuilderGoldenTest, ResponseBytesForEveryStatusAndOption) {
+  struct Code {
+    int status;
+    const char* line;
+  };
+  const Code codes[] = {
+      {200, "HTTP/1.0 200 OK\r\n"},
+      {201, "HTTP/1.0 201 Created\r\n"},
+      {400, "HTTP/1.0 400 Bad Request\r\n"},
+      {404, "HTTP/1.0 404 Not Found\r\n"},
+      {503, "HTTP/1.0 503 Service Unavailable\r\n"},
+      {500, "HTTP/1.0 500 Error\r\n"},
+  };
+  for (const Code& code : codes) {
+    for (const bool retry : {false, true}) {
+      for (const bool stale : {false, true}) {
+        std::string want = code.line;
+        want += "Content-Length: 5\r\nX-Sum: 0a3f\r\n";
+        if (retry) {
+          want += "Retry-After: 4294967295\r\n";
+        }
+        if (stale) {
+          want += "X-Stale: 1\r\n";
+        }
+        want += "\r\nhello";
+        const ResponseOptions opts{.retry_after_us = retry ? 4294967295u : 0u, .stale = stale};
+        EXPECT_EQ(BuildHttpResponse(code.status, "hello", 0x0a3f, opts), want)
+            << code.status << " retry=" << retry << " stale=" << stale;
+      }
+    }
+  }
+  EXPECT_EQ(BuildHttpResponse(404, ""),
+            std::string("HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\nX-Sum: ffff\r\n\r\n"));
+  EXPECT_EQ(BuildHttpResponse(200, "", 0x0000, ResponseOptions{.retry_after_us = 7}),
+            "HTTP/1.0 200 OK\r\nContent-Length: 0\r\nX-Sum: 0000\r\nRetry-After: 7\r\n\r\n");
+  EXPECT_EQ(BuildHttpResponse(-1, "x", 0xbeef),
+            "HTTP/1.0 -1 Error\r\nContent-Length: 1\r\nX-Sum: beef\r\n\r\nx");
+  const std::string big(1234, 'v');
+  EXPECT_EQ(BuildHttpResponse(200, big, 0x00c0),
+            "HTTP/1.0 200 OK\r\nContent-Length: 1234\r\nX-Sum: 00c0\r\n\r\n" + big);
+}
+
+TEST(HttpBuilderGoldenTest, RequestBytes) {
+  EXPECT_EQ(BuildPutRequest("k007", "k007#3#xyz"),
+            "PUT /k007 HTTP/1.0\r\nContent-Length: 10\r\n\r\nk007#3#xyz");
+  EXPECT_EQ(BuildPutRequest("a", ""), "PUT /a HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+  const std::string body(1024, 'q');
+  EXPECT_EQ(BuildPutRequest("big", body),
+            "PUT /big HTTP/1.0\r\nContent-Length: 1024\r\n\r\n" + body);
+  EXPECT_EQ(BuildGetRequest("k042"), "GET /k042 HTTP/1.0\r\n\r\n");
+}
+
+TEST(LoadGenValueTest, KeyNamesPadToThreeDigits) {
+  EXPECT_EQ(LoadKeyName(0), "k000");
+  EXPECT_EQ(LoadKeyName(7), "k007");
+  EXPECT_EQ(LoadKeyName(42), "k042");
+  EXPECT_EQ(LoadKeyName(999), "k999");
+  EXPECT_EQ(LoadKeyName(1000), "k1000");
+  EXPECT_EQ(LoadKeyName(12345), "k12345");
+  EXPECT_EQ(LoadKeyName(4294967295u), "k4294967295");
+}
+
+// The value image as first specified: built one byte at a time.
+std::string ReferenceValue(std::string_view key, uint32_t version, uint32_t value_bytes) {
+  std::string value(key);
+  value += '#';
+  value += std::to_string(version);
+  value += '#';
+  const uint32_t h = KeyHash(key);
+  while (value.size() < value_bytes) {
+    value += static_cast<char>('a' + (h + version + value.size()) % 26);
+  }
+  return value;
+}
+
+TEST(LoadGenValueTest, ParseAcceptsExactlyTheCanonicalImages) {
+  const std::string key = "k003";
+  const std::string v7 = MakeValue(key, 7, 24);
+  ASSERT_EQ(v7, ReferenceValue(key, 7, 24));
+  EXPECT_EQ(ParseValueVersion(key, v7, 24), 7);
+
+  std::string leading_zero = "k003#07#" + v7.substr(7);  // Same length, "07".
+  leading_zero.resize(24);
+  EXPECT_EQ(ParseValueVersion(key, leading_zero, 24), -1);
+  EXPECT_EQ(ParseValueVersion(key, v7 + v7.back(), 24), -1);  // One extra byte.
+  EXPECT_EQ(ParseValueVersion(key, v7.substr(0, 23), 24), -1);  // One byte short.
+  std::string wrong_last = v7;
+  wrong_last.back() = wrong_last.back() == 'a' ? 'b' : 'a';
+  EXPECT_EQ(ParseValueVersion(key, wrong_last, 24), -1);
+  const std::string ten_digits = ReferenceValue(key, 1234567890u, 24);
+  EXPECT_EQ(ParseValueVersion(key, ten_digits, 24), -1);
+  // A prefix longer than value_bytes carries no padding at all.
+  const std::string unpadded = MakeValue(key, 123456789, 8);
+  EXPECT_EQ(unpadded, "k003#123456789#");
+  EXPECT_EQ(ParseValueVersion(key, unpadded, 8), 123456789);
+  EXPECT_EQ(ParseValueVersion(key, "k003#0#", 4), 0);
+  EXPECT_EQ(ParseValueVersion(key, "k003#00#", 4), -1);
+
+  // The pad letter wraps with h + version at 32 bits: pick a key whose hash
+  // is close enough to the top that the largest 9-digit version wraps it.
+  uint32_t wrap_index = 0;
+  while (KeyHash(LoadKeyName(wrap_index)) <= 0xffffffffu - 999999999u) {
+    ++wrap_index;
+  }
+  const std::string wrap_key = LoadKeyName(wrap_index);
+  const std::string wrapped = MakeValue(wrap_key, 999999999u, 64);
+  EXPECT_EQ(wrapped, ReferenceValue(wrap_key, 999999999u, 64));
+  EXPECT_EQ(ParseValueVersion(wrap_key, wrapped, 64), 999999999);
+}
+
+TEST(LoadGenValueTest, ParseAgreesWithTheReferenceOnMutatedImages) {
+  // Accept iff the body equals the reference image at its parsed version.
+  auto reference_parse = [](std::string_view key, std::string_view body, uint32_t bytes) {
+    const size_t prefix = key.size() + 1;
+    if (body.size() < prefix + 2 || body.substr(0, key.size()) != key ||
+        body[key.size()] != '#') {
+      return -1;
+    }
+    const size_t end = body.find('#', prefix);
+    if (end == std::string_view::npos || end == prefix || end - prefix > 9) {
+      return -1;
+    }
+    uint32_t version = 0;
+    for (size_t i = prefix; i < end; ++i) {
+      if (body[i] < '0' || body[i] > '9') {
+        return -1;
+      }
+      version = version * 10 + static_cast<uint32_t>(body[i] - '0');
+    }
+    return body == ReferenceValue(key, version, bytes) ? static_cast<int>(version) : -1;
+  };
+  SplitMix64 rng(27);
+  const char alphabet[] = "0123456789#abcdefghijklmnopqrstuvwxyzk";
+  for (int round = 0; round < 4000; ++round) {
+    const std::string key = LoadKeyName(static_cast<uint32_t>(rng.NextBelow(1200)));
+    const uint32_t bytes = static_cast<uint32_t>(rng.NextBelow(40));
+    const uint32_t version = rng.NextBelow(4) == 0
+                                 ? static_cast<uint32_t>(rng.NextBelow(1000000000))
+                                 : static_cast<uint32_t>(rng.NextBelow(20));
+    std::string body = MakeValue(key, version, bytes);
+    ASSERT_EQ(body, ReferenceValue(key, version, bytes));
+    switch (rng.NextBelow(4)) {
+      case 0: break;  // Canonical.
+      case 1:
+        body[rng.NextBelow(body.size())] = alphabet[rng.NextBelow(sizeof(alphabet) - 1)];
+        break;
+      case 2: body.insert(rng.NextBelow(body.size() + 1), 1, '0'); break;
+      default: body.erase(rng.NextBelow(body.size()), 1); break;
+    }
+    ASSERT_EQ(ParseValueVersion(key, body, bytes), reference_parse(key, body, bytes))
+        << "key " << key << " bytes " << bytes << " body " << body;
   }
 }
 
