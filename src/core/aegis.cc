@@ -31,26 +31,12 @@ Aegis::~Aegis() = default;
 
 // --- xtrace hooks ---
 
-Aegis::SyscallScope::SyscallScope(Aegis& kernel, xtrace::Sys number)
-    : kernel_(kernel), number_(number), entry_cycle_(kernel.machine_.clock().now()) {
-  Env* env = kernel_.FindEnv(kernel_.cur().current);
-  if (env != nullptr) {
-    ++env->counters.syscalls[static_cast<uint32_t>(number)];
-  }
-  kernel_.Trace(xtrace::Event::kSyscallEnter, static_cast<uint32_t>(number));
-}
-
-Aegis::SyscallScope::~SyscallScope() {
-  const uint64_t latency = kernel_.machine_.clock().now() - entry_cycle_;
-  kernel_.syscall_hist_[static_cast<uint32_t>(number_)].Add(latency);
-  if (kernel_.trace_ != nullptr &&
-      (kernel_.trace_->mask & xtrace::kMaskSyscalls) != 0) {
-    kernel_.Trace(xtrace::Event::kSyscallExit, static_cast<uint32_t>(number_),
-                  static_cast<uint32_t>(latency), static_cast<uint32_t>(latency >> 32));
-    // The only simulated cost of an armed ring on the syscall path: the
-    // record stores sink into the write buffer, the head publish does not.
-    kernel_.machine_.Charge(kTraceArmedSyscall);
-  }
+void Aegis::TraceSyscallExit(xtrace::Sys number, uint64_t latency) {
+  Trace(xtrace::Event::kSyscallExit, static_cast<uint32_t>(number),
+        static_cast<uint32_t>(latency), static_cast<uint32_t>(latency >> 32));
+  // The only simulated cost of an armed ring on the syscall path: the
+  // record stores sink into the write buffer, the head publish does not.
+  machine_.Charge(kTraceArmedSyscall);
 }
 
 void Aegis::TraceAppend(xtrace::Event type, uint32_t a0, uint32_t a1, uint32_t a2,
@@ -90,13 +76,6 @@ Env& Aegis::CurrentEnv() {
     std::abort();
   }
   return *env;
-}
-
-Env* Aegis::FindEnv(EnvId id) {
-  if (id == kNoEnv || id > envs_.size()) {
-    return nullptr;
-  }
-  return envs_[id - 1].get();
 }
 
 // --- Environment lifecycle ---

@@ -523,9 +523,16 @@ class Aegis final : public hw::TrapSink {
     xtrace::Sys number_;
     uint64_t entry_cycle_;
   };
+  // SyscallScope's exit record and its charge, for an armed trace ring.
+  void TraceSyscallExit(xtrace::Sys number, uint64_t latency);
 
   Env& CurrentEnv();
-  Env* FindEnv(EnvId id);
+  Env* FindEnv(EnvId id) {
+    if (id == kNoEnv || id > envs_.size()) {
+      return nullptr;
+    }
+    return envs_[id - 1].get();
+  }
 
   // Suspends the current environment's fiber and returns to the scheduler.
   void SwitchToKernel();
@@ -733,6 +740,23 @@ class Aegis final : public hw::TrapSink {
   uint64_t audit_failures_ = 0;
   std::string first_audit_failure_;
 };
+
+inline Aegis::SyscallScope::SyscallScope(Aegis& kernel, xtrace::Sys number)
+    : kernel_(kernel), number_(number), entry_cycle_(kernel.machine_.clock().now()) {
+  Env* env = kernel_.FindEnv(kernel_.cur().current);
+  if (env != nullptr) {
+    ++env->counters.syscalls[static_cast<uint32_t>(number)];
+  }
+  kernel_.Trace(xtrace::Event::kSyscallEnter, static_cast<uint32_t>(number));
+}
+
+inline Aegis::SyscallScope::~SyscallScope() {
+  const uint64_t latency = kernel_.machine_.clock().now() - entry_cycle_;
+  kernel_.syscall_hist_[static_cast<uint32_t>(number_)].Add(latency);
+  if (kernel_.trace_ != nullptr && (kernel_.trace_->mask & xtrace::kMaskSyscalls) != 0) {
+    kernel_.TraceSyscallExit(number_, latency);
+  }
+}
 
 }  // namespace xok::aegis
 

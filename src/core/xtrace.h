@@ -31,6 +31,8 @@
 #ifndef XOK_SRC_CORE_XTRACE_H_
 #define XOK_SRC_CORE_XTRACE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -221,13 +223,10 @@ struct LatencyHist {
     }
   }
 
+  // floor(log2(cycles)), with 0 in bucket 0 and everything from
+  // 2^(kHistBuckets - 1) up in the last bucket.
   static uint32_t BucketOf(uint64_t cycles) {
-    uint32_t b = 0;
-    while (cycles > 1 && b + 1 < kHistBuckets) {
-      cycles >>= 1;
-      ++b;
-    }
-    return b;
+    return std::min<uint32_t>(std::bit_width(cycles | 1) - 1, kHistBuckets - 1);
   }
 };
 

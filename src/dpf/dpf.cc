@@ -55,29 +55,28 @@ Result<FilterId> DpfEngine::Insert(const FilterSpec& filter) {
   }
   // Refuse exact duplicates: a later process may not bind a filter that
   // would steal packets already claimed by an earlier one.
-  for (const Bound& bound : filters_) {
-    if (bound.live && bound.spec.atoms == filter.atoms) {
+  for (const FilterId live : live_) {
+    if (filters_[live].spec.atoms == filter.atoms) {
       return Status::kErrAlreadyExists;
     }
   }
   const FilterId id = static_cast<FilterId>(filters_.size());
-  Bound bound;
-  bound.spec = filter;
-  bound.program = CompileOne(filter, id);
-  bound.live = true;
-  filters_.push_back(std::move(bound));
-  filters_.back().in_trie = TryTrieInsert(filter, id);
-  if (!filters_.back().in_trie) {
-    overflow_.push_back(id);  // The newest id: the list stays sorted.
+  filters_.push_back(Bound{filter, CompileOne(filter, id)});
+  // The newest id: both lists stay sorted.
+  live_.push_back(id);
+  if (!TryTrieInsert(filter, id)) {
+    overflow_.push_back(id);
   }
   return id;
 }
 
 Status DpfEngine::Remove(FilterId id) {
-  if (id >= filters_.size() || !filters_[id].live) {
+  const auto live = std::ranges::lower_bound(live_, id);
+  if (live == live_.end() || *live != id) {
     return Status::kErrNotFound;
   }
-  filters_[id].live = false;
+  live_.erase(live);
+  filters_[id] = Bound{};  // Frees the spec and the compiled program.
   RebuildTrie();
   return Status::kOk;
 }
@@ -139,13 +138,9 @@ bool DpfEngine::TryTrieInsert(const FilterSpec& filter, FilterId id) {
 void DpfEngine::RebuildTrie() {
   states_.assign(1, State{});
   overflow_.clear();
-  for (FilterId id = 0; id < filters_.size(); ++id) {
-    Bound& bound = filters_[id];
-    if (bound.live) {
-      bound.in_trie = TryTrieInsert(bound.spec, id);
-      if (!bound.in_trie) {
-        overflow_.push_back(id);
-      }
+  for (const FilterId id : live_) {
+    if (!TryTrieInsert(filters_[id].spec, id)) {
+      overflow_.push_back(id);
     }
   }
 }
@@ -160,7 +155,7 @@ std::optional<FilterId> DpfEngine::Classify(std::span<const uint8_t> msg) {
   uint32_t state = 0;
   for (;;) {
     const State& s = states_[state];
-    if (s.accept >= 0 && filters_[s.accept].live) {
+    if (s.accept >= 0) {  // The trie holds live filters only.
       best = s.accept;
       best_depth = s.depth;
     }

@@ -22,10 +22,13 @@
 //
 // Host representation: the simulator keeps each divergence point's fan-out
 // as an array sorted by field value and binary-searches it, and keeps the
-// overflow chain as a sorted list of live filter ids. Only the host's data
-// structures differ from the modelled code; the charges above still price
-// the compiled hash dispatch and are independent of how the host finds the
-// next state.
+// overflow chain as a sorted list of live filter ids. The duplicate check
+// and a trie rebuild walk the sorted ids of the live filters, not every id
+// ever bound, and a removed filter's spec and program are freed, so
+// bind/unbind churn costs the host the same per round however long it
+// runs. Only the host's data structures differ from the modelled code; the
+// charges above still price the compiled hash dispatch and are independent
+// of how the host finds the next state.
 #ifndef XOK_SRC_DPF_DPF_H_
 #define XOK_SRC_DPF_DPF_H_
 
@@ -90,8 +93,6 @@ class DpfEngine final : public ClassifierEngine {
   struct Bound {
     FilterSpec spec;
     vcode::Program program;  // Straight-line compiled form.
-    bool in_trie = false;
-    bool live = false;
   };
 
   // Attempts trie insertion; returns false on structural mismatch.
@@ -99,7 +100,8 @@ class DpfEngine final : public ClassifierEngine {
   void RebuildTrie();
 
   std::vector<State> states_{State{}};  // states_[0] is the root.
-  std::vector<Bound> filters_;
+  std::vector<Bound> filters_;  // By id; a removed filter's is empty.
+  std::vector<FilterId> live_;  // Bound filters, by id.
   std::vector<FilterId> overflow_;  // Live filters not in the trie, by id.
   bool merging_enabled_ = true;
   uint64_t sim_cycles_ = 0;

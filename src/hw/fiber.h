@@ -18,6 +18,7 @@
 #define XOK_SRC_HW_FIBER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "src/hw/mapping.h"
@@ -47,6 +48,12 @@ class Fiber {
 
   // Saves the current context into `from` and resumes `to`.
   static void Switch(Fiber& from, Fiber& to);
+
+  // Switches made on this thread so far (a fiber only ever switches to a
+  // fiber of its own thread). Host-side and charged to no simulated clock,
+  // like Mapping::made(): it tells a test how much host work a schedule
+  // cost, not what the simulated machine did.
+  static uint64_t switches();
 
   static constexpr size_t kDefaultStackBytes = 256 * 1024;
 

@@ -33,30 +33,7 @@ uint32_t PrivPort::TlbRemoteFlushAsid(uint32_t cpu, Asid asid) {
   return machine_.cpus_[cpu]->tlb_.FlushAsid(asid);
 }
 
-void PrivPort::SetAsid(Asid asid) {
-  machine_.Charge(Instr(1));
-  machine_.active_->asid_ = asid;
-}
-
 Asid PrivPort::asid() const { return machine_.active_->asid_; }
-
-void PrivPort::SetSliceDeadline(uint64_t absolute_cycle) {
-  machine_.Charge(Instr(1));
-  // Written after the charge, as one atomic compare-register update: the
-  // charge can only deliver the deadline being replaced. A new deadline at
-  // or before the current cycle (including cycle 0) stays armed and fires
-  // on the next charge boundary.
-  Cpu& cpu = *machine_.active_;
-  cpu.slice_deadline_ = absolute_cycle;
-  cpu.slice_armed_ = true;
-}
-
-void PrivPort::ClearSliceDeadline() {
-  machine_.Charge(Instr(1));
-  Cpu& cpu = *machine_.active_;
-  cpu.slice_deadline_ = 0;
-  cpu.slice_armed_ = false;
-}
 
 bool PrivPort::slice_armed() const { return machine_.active_->slice_armed_; }
 
@@ -103,25 +80,17 @@ void PrivPort::SendIpi(uint32_t cpu, uint64_t payload) {
 
 uint32_t PrivPort::cpu_count() const { return machine_.cpu_count(); }
 
-int PrivPort::SwapTrapDepth(int depth) {
-  const int old = machine_.active_->trap_depth_;
-  machine_.active_->trap_depth_ = depth;
-  return old;
-}
-
 // --- Cpu ---
 
 Cpu::Cpu(Machine& machine, uint32_t index) : machine_(machine), index_(index) {}
 
-void Cpu::Charge(uint64_t cycles) {
-  clock_.Advance(cycles);
-  if (trap_depth_ > 0) {
-    return;  // Interrupts implicitly masked while handling a trap.
-  }
-  if (machine_.world_ != nullptr && machine_.world_->ShouldYield(clock_.now())) {
+void Cpu::Attend() {
+  if (clock_.now() >= *yield_at_) {
     machine_.world_->YieldCurrent();
   }
-  if (interrupts_enabled_) {
+  // While this CPU was yielded, other CPUs may have posted to it: PushEvent
+  // lowered attention_ for each.
+  if (interrupts_enabled_ && clock_.now() >= attention_) {
     DeliverDue();
   }
 }
@@ -152,6 +121,7 @@ void Cpu::PushEvent(uint64_t due_cycle, InterruptSource source, uint64_t payload
   // follow that machine's own deterministic execution.
   const uint64_t seq = (static_cast<uint64_t>(origin) << 48) | event_seq_++;
   events_.push(PendingEvent{due_cycle, source, payload, seq});
+  attention_ = std::min(attention_, due_cycle);
   if (machine_.world_ != nullptr) {
     machine_.world_->NoteEventPosted(this, due_cycle);
   }
@@ -166,9 +136,8 @@ bool Cpu::DeliverDue() {
     DeliverOne(PendingEvent{now, InterruptSource::kTimer, 0, 0});
     delivered = true;
   }
-  while (!events_.empty() && events_.top().due_cycle <= clock_.now()) {
-    const PendingEvent event = events_.top();
-    events_.pop();
+  PendingEvent event;
+  while (PopDue(event)) {
     if (event.source == InterruptSource::kNicRx && machine_.nic_ != nullptr) {
       machine_.nic_->LandArrived(clock_.now());  // The frame's DMA, before its interrupt.
     }
@@ -176,6 +145,18 @@ bool Cpu::DeliverDue() {
     delivered = true;
   }
   return delivered;
+}
+
+bool Cpu::PopDue(PendingEvent& event) {
+  const bool due = !events_.empty() && events_.top().due_cycle <= clock_.now();
+  if (due) {
+    event = events_.top();
+    events_.pop();
+  }
+  // Before the handler runs, so that its own charges leave the charge path
+  // only if something else is due.
+  attention_ = NextDueCycle();
+  return due;
 }
 
 void Cpu::DeliverOne(const PendingEvent& event) {
@@ -240,12 +221,6 @@ uint64_t Machine::MaxCpuCycle() const {
   }
   return max;
 }
-
-bool Machine::CpuParked(uint32_t index) const {
-  return cpus_[index]->parked_;
-}
-
-void Machine::Charge(uint64_t cycles) { active_->Charge(cycles); }
 
 Result<Paddr> Machine::Translate(Vaddr va, bool store) {
   const Vpn vpn = VpnOf(va);
@@ -366,6 +341,9 @@ void Machine::RunCpus(std::vector<std::function<void()>> bodies) {
       finished = true;
     }});
     world_ = nullptr;
+    for (const std::unique_ptr<Cpu>& cpu : cpus_) {
+      cpu->yield_at_ = &Cpu::kNoYield;
+    }
     if (!finished) {
       std::fprintf(stderr, "xok: machine %s: all CPUs idle with no pending events (hang)\n",
                    config_.name);

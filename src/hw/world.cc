@@ -33,6 +33,9 @@ World::~World() = default;
 void World::Attach(Machine* machine) {
   machine->set_world_index(static_cast<uint32_t>(members_.size()));
   members_.emplace_back().machine = machine;
+  for (uint32_t i = 0; i < machine->cpu_count(); ++i) {
+    machine->cpu(i).yield_at_ = &yield_at_;
+  }
 }
 
 World::Member& World::MemberOf(const Machine* machine) {
@@ -50,13 +53,15 @@ void World::Run(std::vector<std::function<void()>> bodies) {
     AddCtx(members_[i].machine, 0, std::move(bodies[i]));
     members_[i].key = PickIn(members_[i]).key;
   }
+  current_ = 0;
+  horizon_ = HorizonFor(current_);
   scheduling_ = true;
   Schedule();
   scheduling_ = false;
   yield_at_ = kNever;
 }
 
-// Inlined: Schedule runs it once per dispatch.
+// Inlined: Dispatch runs it once per dispatch.
 [[gnu::always_inline]] inline World::Pick World::PickIn(const Member& member) {
   // One pass: the strict pick, and the two lowest keys. The pick's key is
   // always the lowest, so the second is the lowest among the others.
@@ -101,29 +106,17 @@ void World::Run(std::vector<std::function<void()>> bodies) {
   return {nullptr, kNever, kNever};
 }
 
-void World::Schedule() {
-  // Dispatches the current machine's strict-order pick while its key stays
-  // below every other machine's reach (ReachOf), then moves to the machine
-  // with the lowest key (ties to the lowest world index). When no machine
-  // has a key — nothing ready, nothing due — sweep every parked context
-  // with a spurious wake so its loop can observe a global exit condition;
-  // if a full sweep changes nothing the world quiesces, returning with any
-  // still-parked bodies abandoned.
-  size_t current = 0;
-  horizon_ = HorizonFor(current);
-  bool swept = false;
+World::Ctx* World::Dispatch() {
   for (;;) {
-    Member& member = members_[current];
+    Member& member = members_[current_];
     const Pick pick = PickIn(member);
     if (pick.key < horizon_) {
-      swept = false;
       yield_at_ = std::min(pick.next, horizon_);
       if (pick.ctx->state == CtxState::kParked) {
         pick.ctx->cpu->clock().AdvanceTo(pick.key);
       }
       member.last = pick.ctx;
-      ResumeCtx(pick.ctx);
-      continue;
+      return pick.ctx;
     }
     member.key = pick.key;
     size_t lowest = 0;
@@ -132,9 +125,24 @@ void World::Schedule() {
         lowest = i;
       }
     }
-    if (members_[lowest].key != kNever) {
-      current = lowest;
-      horizon_ = HorizonFor(current);
+    if (members_[lowest].key == kNever) {
+      return nullptr;
+    }
+    current_ = lowest;
+    horizon_ = HorizonFor(current_);
+  }
+}
+
+void World::Schedule() {
+  // When no machine has a key — nothing ready, nothing due — sweep every
+  // parked context with a spurious wake so its loop can observe a global
+  // exit condition; if a full sweep changes nothing the world quiesces,
+  // returning with any still-parked bodies abandoned.
+  bool swept = false;
+  for (;;) {
+    if (Ctx* next = Dispatch()) {
+      swept = false;
+      ResumeCtx(next);
       continue;
     }
     std::vector<Ctx*> sweep;
@@ -154,17 +162,20 @@ void World::Schedule() {
     swept = true;
     const uint64_t epoch = progress_epoch_;
     // A CPU 0 leaving RunCpus erases its siblings' contexts, but only once
-    // Schedule resumes it, so the snapshot stays valid through the sweep.
+    // a dispatch resumes it, and a sweep dispatches nothing: the contexts it
+    // wakes return here (Leave), so the snapshot stays valid through it.
+    sweeping_ = true;
     for (Ctx* ctx : sweep) {
       ctx->state = CtxState::kRunning;  // Not a threshold for itself.
       SetYieldAt(*ctx);
       MemberOf(ctx->machine).last = ctx;
       ResumeCtx(ctx);
     }
+    sweeping_ = false;
     for (Member& m : members_) {
       m.key = PickIn(m).key;
     }
-    horizon_ = HorizonFor(current);
+    horizon_ = HorizonFor(current_);
     if (progress_epoch_ != epoch) {
       swept = false;
     }
@@ -201,19 +212,35 @@ void World::SetYieldAt(const Ctx& ctx) {
   }
 }
 
-void World::ResumeCtx(Ctx* ctx) {
+void World::Enter(Ctx* ctx) {
   ctx->state = CtxState::kRunning;
   ctx->cpu->parked_ = false;
   ctx->machine->active_ = ctx->cpu;
   running_ = ctx;
+}
+
+void World::ResumeCtx(Ctx* ctx) {
+  Enter(ctx);
   Fiber::Switch(world_fiber_, *ctx->fiber);
   running_ = nullptr;
+}
+
+void World::Leave(Ctx* self) {
+  Ctx* next = sweeping_ ? nullptr : Dispatch();
+  if (next == nullptr) {
+    Fiber::Switch(*self->fiber, world_fiber_);
+    return;
+  }
+  Enter(next);
+  if (next != self) {
+    Fiber::Switch(*self->fiber, *next->fiber);
+  }
 }
 
 void World::YieldCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kReady;
-  Fiber::Switch(*ctx->fiber, world_fiber_);
+  Leave(ctx);
 }
 
 void World::ParkCurrent() {
@@ -224,7 +251,7 @@ void World::ParkCurrent() {
   Ctx* ctx = running_;
   ctx->state = CtxState::kParked;
   ctx->cpu->parked_ = true;
-  Fiber::Switch(*ctx->fiber, world_fiber_);
+  Leave(ctx);
 }
 
 void World::AddCtx(Machine* machine, uint32_t cpu, std::function<void()> body) {
@@ -277,7 +304,7 @@ void World::RunCpus(Machine* machine, std::vector<std::function<void()>> bodies)
   bodies[0]();
   while (!SiblingsDone(MemberOf(machine))) {
     self->state = CtxState::kJoining;
-    Fiber::Switch(*self->fiber, world_fiber_);
+    Leave(self);
   }
   Member& member = MemberOf(machine);
   std::erase_if(member.ctxs,

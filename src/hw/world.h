@@ -25,7 +25,7 @@
 // frame it takes the wire's part alone, kSendingLookahead = 1279. A
 // machine's reach is its lowest key plus the lookahead that applies. A
 // running CPU yields to another machine only once its clock reaches that
-// machine's reach, and Schedule keeps dispatching the current machine's
+// machine's reach, and Dispatch keeps dispatching the current machine's
 // CPUs, scanning only that machine's contexts, while the machine's next key
 // stays below the other machines' lowest reach. Then it moves to the
 // machine with the lowest key. Every frame is thus on its receiver's queue
@@ -40,6 +40,15 @@
 // return. A machine built without a World runs RunCpus as the only member
 // of a private one, so standalone SMP machines, uniprocessors and racks all
 // follow the same algorithm.
+//
+// Handoff is direct. A context that yields, parks or starts joining its
+// siblings runs Dispatch, the per-dispatch decision, itself, and switches
+// straight to the pick: one host switch, or none when the pick is the
+// context itself (a parked CPU whose own event is next). The world fiber
+// runs only to start and end Run, to take back a context whose body has
+// returned, and for the quiescence sweep, when no machine has a key;
+// contexts the sweep resumes return to the world fiber, so it wakes them
+// in its own order.
 #ifndef XOK_SRC_HW_WORLD_H_
 #define XOK_SRC_HW_WORLD_H_
 
@@ -79,12 +88,8 @@ class World {
   // inline, then waits, never scheduled, until every sibling has returned.
   void RunCpus(Machine* machine, std::vector<std::function<void()>> bodies);
 
-  // True if the currently-running context should hand control back: its
-  // clock has reached the key of another context of its machine, or
-  // another machine's reach. Checked from Cpu::Charge.
-  bool ShouldYield(uint64_t now) const { return now >= yield_at_; }
-
-  // Saves the running context and re-enters the scheduler.
+  // Saves the running context and hands the CPU's host thread to the next
+  // pick. Called from Cpu::Attend once the clock reaches yield_at_.
   void YieldCurrent();  // Stays ready: resumed by clock order.
   void ParkCurrent();   // Sleeps: resumed by a due event, or spuriously by
                         //   the quiescence sweep.
@@ -117,7 +122,7 @@ class World {
     std::vector<std::unique_ptr<Ctx>> ctxs;
     const Ctx* last = nullptr;  // Dispatched most recently.
     // The lowest key of its contexts. Exact for every machine but the one
-    // Schedule is dispatching, which sets its own on leaving it: the
+    // Dispatch is dispatching, which sets its own on leaving it: the
     // others' contexts are frozen, and only NoteEventPosted can lower one's
     // key.
     uint64_t key = kNever;
@@ -134,11 +139,23 @@ class World {
 
   static Pick PickIn(const Member& member);
 
-  // Core scheduler loop; runs on the world fiber.
+  // The world fiber's loop: resumes Dispatch's picks, takes back contexts
+  // whose bodies return, and sweeps when no machine has a key.
   void Schedule();
-  // Runs `ctx` until it switches back; the caller has already set
-  // yield_at_ for it.
+  // The next context to run, its clock advanced to its key if it was
+  // parked and yield_at_ set for it; null when no machine has a key.
+  // Dispatches the current machine's strict-order pick while its key stays
+  // below every other machine's reach (ReachOf), then moves to the machine
+  // with the lowest key (ties to the lowest world index).
+  Ctx* Dispatch();
+  // Marks `ctx` as the running context of its machine.
+  void Enter(Ctx* ctx);
+  // From the world fiber: runs `ctx` until control returns to the world
+  // fiber; the caller has already set yield_at_ for it.
   void ResumeCtx(Ctx* ctx);
+  // From `self`, which has just stopped running: switches to Dispatch's
+  // pick, or to the world fiber if there is none or a sweep is running.
+  void Leave(Ctx* self);
   // Sets yield_at_ for `ctx` by a scan of every machine.
   void SetYieldAt(const Ctx& ctx);
   // How far another machine may run while `machine`'s lowest key is
@@ -156,10 +173,11 @@ class World {
 
   std::vector<Member> members_;  // By world index.
   Fiber world_fiber_;
-  Ctx* running_ = nullptr;
+  Ctx* running_ = nullptr;  // Null while the world fiber runs.
   bool scheduling_ = false;
-  // HorizonFor the machine Schedule is dispatching, kept exact while it
-  // runs.
+  bool sweeping_ = false;
+  size_t current_ = 0;  // The machine Dispatch is dispatching.
+  // HorizonFor(current_), kept exact while Run runs.
   uint64_t horizon_ = kNever;
   // The running context's yield threshold: the lowest key of the rest of
   // its machine, or horizon_. kNever outside Run.

@@ -34,16 +34,6 @@ Result<PacketRingView> PacketRingView::Format(std::span<uint8_t> region, uint32_
   return view;
 }
 
-uint32_t PacketRingView::LoadU32(size_t off) const {
-  uint32_t v;
-  std::memcpy(&v, base_ + off, sizeof(v));
-  return v;
-}
-
-void PacketRingView::StoreU32(size_t off, uint32_t v) {
-  std::memcpy(base_ + off, &v, sizeof(v));
-}
-
 void PacketRingView::WriteRxSlot(uint32_t index, std::span<const uint8_t> frame) {
   const size_t off = RxSlotOff(index);
   const uint32_t len =

@@ -38,6 +38,7 @@
 #define XOK_SRC_NET_PKTRING_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "src/base/result.h"
@@ -120,8 +121,12 @@ class PacketRingView {
   PacketRingView(std::span<uint8_t> region, uint32_t rx_slots, uint32_t tx_slots)
       : base_(region.data()), rx_slots_(rx_slots), tx_slots_(tx_slots) {}
 
-  uint32_t LoadU32(size_t off) const;
-  void StoreU32(size_t off, uint32_t v);
+  uint32_t LoadU32(size_t off) const {
+    uint32_t v;
+    std::memcpy(&v, base_ + off, sizeof(v));
+    return v;
+  }
+  void StoreU32(size_t off, uint32_t v) { std::memcpy(base_ + off, &v, sizeof(v)); }
   size_t RxSlotOff(uint32_t index) const {
     return 2 * kHeaderBytes + static_cast<size_t>(index % rx_slots_) * kSlotStride;
   }

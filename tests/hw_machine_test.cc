@@ -56,12 +56,14 @@ class FakeKernel : public TrapSink {
 
   void OnInterrupt(InterruptSource source, uint64_t payload) override {
     interrupts.push_back({source, payload});
+    interrupt_cycles.push_back(machine_.clock().now());
   }
 
   Machine& machine_;
   PrivPort& priv_;
   std::vector<ExceptionType> exceptions;
   std::vector<std::pair<InterruptSource, uint64_t>> interrupts;
+  std::vector<uint64_t> interrupt_cycles;  // Clock as each handler starts.
   bool refill = true;
   bool fix_modify = true;
   bool writable_pages = true;
@@ -290,6 +292,49 @@ TEST_F(MachineTest, ClearSliceDeadlineDisarms) {
   EXPECT_FALSE(kernel_.priv_.slice_armed());
   machine_.Charge(1000);
   EXPECT_TRUE(kernel_.interrupts.empty());
+}
+
+TEST_F(MachineTest, EveryLocalDropOfTheNextDueCycleDeliversOnTime) {
+  // A CPU looks for due interrupts only once its clock reaches a bound on
+  // its next due cycle. Each step below lowers that cycle below one already
+  // pending, and each interrupt must still start at the first charge
+  // boundary at or past its due cycle.
+  PrivPort& priv = kernel_.priv_;
+  auto burn_to = [this](uint64_t cycle) {
+    while (machine_.clock().now() < cycle) {
+      machine_.Charge(7);
+    }
+  };
+  priv.ScheduleEvent(1'000'000, InterruptSource::kAlarm, 0);  // Pending throughout.
+  // A local event due before the pending one.
+  priv.ScheduleEvent(1'000, InterruptSource::kAlarm, 1);
+  burn_to(2'000);
+  // A slice deadline re-armed earlier.
+  priv.SetSliceDeadline(9'000);
+  burn_to(3'000);
+  priv.SetSliceDeadline(4'000);
+  burn_to(6'000);
+  // A slice deadline armed in the past.
+  priv.SetSliceDeadline(5'000);
+  machine_.Charge(7);
+  // A backlog queued while interrupts are off, due once they are back on.
+  priv.SetInterruptsEnabled(false);
+  priv.ScheduleEvent(100, InterruptSource::kDiskDone, 2);
+  priv.ScheduleEvent(200, InterruptSource::kDiskDone, 3);
+  burn_to(8'000);
+  priv.SetInterruptsEnabled(true);
+  machine_.Charge(7);
+  // The backlog's second event starts first: the first one's exception
+  // raise is charged before its trap depth is taken, and that charge
+  // delivers what else is due.
+  using Ev = std::pair<InterruptSource, uint64_t>;
+  EXPECT_EQ(kernel_.interrupts,
+            (std::vector<Ev>{{InterruptSource::kAlarm, 1},
+                             {InterruptSource::kTimer, 0},
+                             {InterruptSource::kTimer, 0},
+                             {InterruptSource::kDiskDone, 3},
+                             {InterruptSource::kDiskDone, 2}}));
+  EXPECT_EQ(kernel_.interrupt_cycles, (std::vector<uint64_t>{1009, 4014, 6023, 8028, 8032}));
 }
 
 TEST(MachineAsid, SeparateAsidsDoNotShareMappings) {

@@ -6,9 +6,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <utility>
 #include <vector>
 
+#include "src/hw/fiber.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
 
@@ -349,6 +351,165 @@ TEST(World, FrameWhoseSenderYieldsInsideTransmitLandsAtItsArrival) {
   // The case under test happened: the receiver ran while a sender was
   // inside Transmit.
   EXPECT_GT(sent_across_a_yield, 0);
+}
+
+// Records each interrupt with the CPU and the cycle its handler starts at.
+class ClockedKernel : public TrapSink {
+ public:
+  struct Delivery {
+    InterruptSource source;
+    uint64_t payload;
+    uint32_t cpu;
+    uint64_t cycle;
+    bool operator==(const Delivery&) const = default;
+    friend void PrintTo(const Delivery& d, std::ostream* os) {
+      *os << "{source " << static_cast<int>(d.source) << ", payload " << d.payload << ", cpu "
+          << d.cpu << ", cycle " << d.cycle << "}";
+    }
+  };
+  explicit ClockedKernel(Machine& machine) : machine_(machine), priv_(machine.InstallKernel(this)) {}
+  TrapOutcome OnException(TrapFrame&) override { return TrapOutcome::kSkip; }
+  void OnInterrupt(InterruptSource source, uint64_t payload) override {
+    log.push_back({source, payload, machine_.current_cpu(), machine_.clock().now()});
+  }
+  Machine& machine_;
+  PrivPort& priv_;
+  std::vector<Delivery> log;
+};
+
+TEST(World, EveryRemoteDropOfTheNextDueCycleDeliversOnTime) {
+  // A CPU looks for due interrupts only once its clock reaches a bound on
+  // its next due cycle. Here that cycle drops below a pending one from
+  // outside the CPU: a sibling's IPI to it ready and parked, a sibling's
+  // ScheduleEventOnCpu, and a wire frame arriving while it runs. Each
+  // interrupt must start at the first charge boundary at or past its due
+  // cycle, or, parked, at the due cycle itself.
+  World world;
+  Machine a(Machine::Config{.phys_pages = 16, .name = "a", .cpus = 2}, &world);
+  Machine b(Machine::Config{.phys_pages = 16, .name = "b"}, &world);
+  ClockedKernel ka(a);
+  ClockedKernel kb(b);
+  Nic na(a, 0xa);
+  Nic nb(b, 0xb);
+  Wire wire;
+  wire.Attach(&na);
+  wire.Attach(&nb);
+  auto burn_to = [](Machine& m, uint64_t cycle, uint64_t step) {
+    while (m.clock().now() < cycle) {
+      m.Charge(step);
+    }
+  };
+  world.Run({[&] {
+               a.RunCpus({[&] {
+                            burn_to(a, 5'000, 5);
+                            ka.priv_.SendIpi(1, 10);  // CPU 1 is ready.
+                            burn_to(a, 25'000, 5);
+                            ka.priv_.SendIpi(1, 11);  // CPU 1 is parked.
+                            burn_to(a, 30'000, 5);
+                            ka.priv_.ScheduleEventOnCpu(1, 3'000, InterruptSource::kAlarm, 12);
+                            burn_to(a, 35'000, 5);
+                            std::vector<uint8_t> frame(Nic::kMinFrameBytes, 0);
+                            frame[5] = 0xb;   // Destination MAC.
+                            frame[11] = 0xa;  // Source MAC.
+                            ASSERT_TRUE(na.Transmit(frame));
+                          },
+                          [&] {
+                            ka.priv_.ScheduleEvent(1'000'000, InterruptSource::kAlarm, 0);
+                            burn_to(a, 20'000, 7);
+                            a.WaitForInterrupt();
+                            burn_to(a, 40'000, 7);
+                          }});
+             },
+             [&] {
+               kb.priv_.ScheduleEvent(1'000'000, InterruptSource::kAlarm, 0);
+               burn_to(b, 60'000, 7);
+             }});
+  using D = ClockedKernel::Delivery;
+  EXPECT_EQ(ka.log, (std::vector<D>{{InterruptSource::kIpi, 10, 1, 5'027},
+                                    {InterruptSource::kIpi, 11, 1, 25'026},
+                                    {InterruptSource::kAlarm, 12, 1, 33'011}}));
+  EXPECT_EQ(kb.log, (std::vector<D>{{InterruptSource::kNicRx, 0, 0, 37'311}}));
+}
+
+TEST(World, AYieldBetweenTwoCpusIsOneHostSwitch) {
+  // The yielding CPU runs the dispatch decision itself and switches
+  // straight to the other CPU's context, not through the world fiber.
+  Machine m(Machine::Config{.phys_pages = 16, .name = "m", .cpus = 2});
+  std::vector<std::pair<uint32_t, uint64_t>> log;  // CPU, Fiber::switches().
+  auto body = [&m, &log](uint32_t cpu) {
+    return [&m, &log, cpu] {
+      for (int i = 0; i < 100; ++i) {
+        log.emplace_back(cpu, Fiber::switches());
+        m.Charge(10);
+      }
+    };
+  };
+  m.RunCpus({body(0), body(1)});
+  int handovers = 0;
+  for (size_t i = 1; i < log.size(); ++i) {
+    const uint64_t switches = log[i].second - log[i - 1].second;
+    if (log[i].first != log[i - 1].first) {
+      ++handovers;
+      EXPECT_EQ(switches, 1u) << "entry " << i;
+    } else {
+      EXPECT_EQ(switches, 0u) << "entry " << i;
+    }
+  }
+  EXPECT_GE(handovers, 99);
+}
+
+TEST(World, AParkWhoseOwnEventIsNextSwitchesNothing) {
+  // CPU 1 parks on a later event; then CPU 0 parks on an earlier one, so
+  // the dispatch decision picks CPU 0 again and it returns without a host
+  // switch, its clock moved to its event.
+  Machine m(Machine::Config{.phys_pages = 16, .name = "m", .cpus = 2});
+  IdleKernel k(m);
+  uint64_t park_switches = ~0ULL;
+  uint64_t woke_at = 0;
+  m.RunCpus({[&] {
+               m.Charge(100);  // CPU 1 runs and parks first.
+               k.priv_.ScheduleEvent(1'000, InterruptSource::kAlarm, 0);
+               const uint64_t before = Fiber::switches();
+               m.WaitForInterrupt();
+               park_switches = Fiber::switches() - before;
+               woke_at = m.clock().now();
+             },
+             [&] {
+               k.priv_.ScheduleEvent(5'000, InterruptSource::kAlarm, 1);
+               m.WaitForInterrupt();
+             }});
+  EXPECT_EQ(park_switches, 0u);
+  EXPECT_EQ(woke_at, 1'100 + kExceptionRaise + kExceptionReturn);
+  using Ev = std::pair<InterruptSource, uint64_t>;
+  EXPECT_EQ(k.events, (std::vector<Ev>{{InterruptSource::kAlarm, 0}, {InterruptSource::kAlarm, 1}}));
+}
+
+TEST(World, QuiescenceSweepResumesEachParkedContextFromTheWorldFiber) {
+  // With no machine holding a key, the world fiber wakes every parked
+  // context in world-index and CPU order; each re-parks back to the world
+  // fiber, so each wake after the first costs exactly two host switches.
+  World world;
+  Machine a(Machine::Config{.phys_pages = 16, .name = "a", .cpus = 2}, &world);
+  Machine b(Machine::Config{.phys_pages = 16, .name = "b"}, &world);
+  IdleKernel ka(a);
+  IdleKernel kb(b);
+  std::vector<std::pair<int, uint64_t>> wakes;  // Context, Fiber::switches().
+  auto park_forever = [&wakes](Machine& m, int id) {
+    return [&m, &wakes, id] {
+      for (;;) {
+        m.WaitForInterrupt();
+        wakes.emplace_back(id, Fiber::switches());
+      }
+    };
+  };
+  world.Run({[&] { a.RunCpus({park_forever(a, 0), park_forever(a, 1)}); },
+             park_forever(b, 2)});
+  ASSERT_EQ(wakes.size(), 3u);
+  EXPECT_EQ(wakes[0].first, 0);
+  EXPECT_EQ(wakes[1].first, 1);
+  EXPECT_EQ(wakes[2].first, 2);
+  EXPECT_EQ(wakes[1].second - wakes[0].second, 2u);
+  EXPECT_EQ(wakes[2].second - wakes[1].second, 2u);
 }
 
 TEST(World, QuiescesWhenAllMachinesParkForever) {

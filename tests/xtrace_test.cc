@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -92,6 +93,28 @@ TEST(LatencyHistTest, BucketsAreLog2) {
   EXPECT_EQ(hist.max_cycles, 100u);
   EXPECT_EQ(hist.bucket[5], 2u);
   EXPECT_EQ(hist.bucket[6], 1u);
+}
+
+TEST(LatencyHistTest, BucketOfMatchesTheShiftLoop) {
+  // BucketOf is one bit_width; this is the loop it replaced, one shift per
+  // bit, compared at every power of two and its neighbours.
+  auto by_shifts = [](uint64_t cycles) {
+    uint32_t b = 0;
+    while (cycles > 1 && b + 1 < xtrace::kHistBuckets) {
+      cycles >>= 1;
+      ++b;
+    }
+    return b;
+  };
+  std::vector<uint64_t> probes = {0, 1, UINT64_MAX};
+  for (uint32_t shift = 0; shift < 64; ++shift) {
+    const uint64_t power = uint64_t{1} << shift;
+    probes.insert(probes.end(), {power - 1, power, power + 1});
+  }
+  for (const uint64_t cycles : probes) {
+    EXPECT_EQ(xtrace::LatencyHist::BucketOf(cycles), by_shifts(cycles)) << cycles;
+  }
+  EXPECT_EQ(xtrace::LatencyHist::BucketOf(UINT64_MAX), xtrace::kHistBuckets - 1);
 }
 
 // --- Kernel-side binding, accounting, and audit ---
