@@ -111,7 +111,10 @@ Result<EnvGrant> Aegis::CreateEnv(EnvSpec spec) {
   env->handlers = std::move(spec.handlers);
   env->self_cap = authority_.Mint(EnvResource(id), cap::kAllRights, 0);
   auto entry = std::move(spec.entry);
-  env->fiber = std::make_unique<hw::Fiber>([this, entry = std::move(entry)]() {
+  env->fiber = std::make_unique<hw::Fiber>([this, self = env.get(), entry = std::move(entry)]() {
+    while (!BeginTurn(*self)) {
+      HandOff(*self);
+    }
     entry();
     SysExit();  // Entries that "return" exit cleanly.
   });
@@ -153,7 +156,7 @@ void Aegis::SysExit() {
   env.mailbox.clear();
   env.wake_pending = false;
   FlushAsid(env.asid);
-  SwitchToKernel();
+  LeaveCpu();
   std::fprintf(stderr, "aegis: exited environment resumed\n");
   std::abort();
 }
@@ -318,7 +321,7 @@ Status Aegis::KillEnv(EnvId victim_id) {
   if (suicide) {
     // Killed from its own context (fault interrupt at a charge boundary):
     // the fiber is abandoned, never to be resumed.
-    SwitchToKernel();
+    LeaveCpu();
     std::fprintf(stderr, "aegis: killed environment resumed\n");
     std::abort();
   }
@@ -351,7 +354,7 @@ void Aegis::ProcessDeferredKills() {
   if (suicide) {
     Reap(CurrentEnv());
     MaybeAuditAfterFault();
-    SwitchToKernel();
+    LeaveCpu();
     std::fprintf(stderr, "aegis: killed environment resumed\n");
     std::abort();
   }
@@ -359,20 +362,82 @@ void Aegis::ProcessDeferredKills() {
 
 // --- Fiber plumbing ---
 
-void Aegis::SwitchToKernel() {
+void Aegis::LeaveCpu() {
   Env& env = CurrentEnv();
   // Interrupt masking follows the context: save this context's trap depth
-  // and run the kernel scheduler unmasked. ResumeEnv restores it.
+  // and run the dispatch unmasked. BeginTurn restores it.
   env.saved_trap_depth = priv_.SwapTrapDepth(0);
-  hw::Fiber::Switch(*env.fiber, cur().kernel_fiber);
+  cur().env_fiber_active = false;
+  do {
+    HandOff(env);
+  } while (!BeginTurn(env));
 }
 
-void Aegis::ResumeEnv(Env& env) {
-  priv_.SwapTrapDepth(env.saved_trap_depth);
-  cur().env_fiber_active = true;
-  hw::Fiber::Switch(cur().kernel_fiber, *env.fiber);
-  cur().env_fiber_active = false;
-  priv_.SwapTrapDepth(0);  // Back on the kernel fiber.
+void Aegis::HandOff(Env& env) {
+  const uint32_t cpu_index = machine_.current_cpu();
+  CpuSched& cpu = cpu_[cpu_index];
+  Env* next = nullptr;
+  if (OwesNudge(env)) {
+    cpu.release = &env;  // The IPIs charge: release on the kernel fiber.
+  } else {
+    EndTurn(env);
+    if (AnyLive() && !powered_off_) {
+      const Pick pick = PickNext(cpu_index);
+      cpu.picked_nothing = pick.env == nullptr;
+      if (pick.env != nullptr) {
+        Claim(pick, cpu_index);
+        next = pick.env;
+      }
+    }
+  }
+  if (next == nullptr) {
+    hw::Fiber::Switch(*env.fiber, cpu.kernel_fiber);
+  } else if (next != &env) {
+    hw::Fiber::Switch(*env.fiber, *next->fiber);
+  }
+}
+
+void Aegis::Claim(const Pick& pick, uint32_t cpu_index) {
+  pick.env->on_cpu = cpu_index;  // Before the first charge: no sibling may
+                                 // pick this env while its turn is set up.
+  cpu_[cpu_index].donated = pick.donated;
+}
+
+bool Aegis::BeginTurn(Env& env) {
+  const uint32_t cpu_index = machine_.current_cpu();
+  CpuSched& cpu = cpu_[cpu_index];
+  const bool donated = cpu.donated;
+  // Read before the mailbox: a handler that outlasts a donated slice ends
+  // this turn from inside the timer interrupt, and that LeaveCpu saves
+  // the interrupt's depth over this context's.
+  const int trap_depth = env.saved_trap_depth;
+  priv_.SetAsid(env.asid);
+  if (!donated || !priv_.slice_armed()) {
+    priv_.SetSliceDeadline(machine_.clock().now() + config_.slice_cycles);
+  }
+  ++env.slices_run;
+  cpu.current = env.id;
+  if (cpu_index != env.last_cpu) {
+    ++env.counters.migrations;
+    Trace(xtrace::Event::kMigration, env.last_cpu, cpu_index);
+    env.last_cpu = cpu_index;
+  }
+  Trace(xtrace::Event::kSliceSwitch, donated ? 1u : 0u);
+  cpu.turn_start = machine_.clock().now();
+  DrainMailbox(env);
+  if (env.state != EnvState::kRunnable || powered_off_) {
+    return false;
+  }
+  priv_.SwapTrapDepth(trap_depth);
+  cpu.env_fiber_active = true;
+  return true;
+}
+
+void Aegis::EndTurn(Env& env) {
+  CpuSched& cpu = cur();
+  env.counters.cycles_on_cpu += machine_.clock().now() - cpu.turn_start;
+  env.on_cpu = kNoCpu;
+  cpu.current = kNoEnv;
 }
 
 void Aegis::DrainMailbox(Env& env) {
@@ -399,17 +464,31 @@ void Aegis::NudgeCpusFor(const Env& env) {
   if (machine_.cpu_count() <= 1) {
     return;  // The one CPU is the caller; its loop rescans on its own.
   }
-  // An env with no slots yet can be picked up by any CPU's idle fallback.
-  const uint64_t mask = env.slot_mask != 0 ? env.slot_mask : ~0ULL;
   for (uint32_t k = 0; k < machine_.cpu_count(); ++k) {
-    if ((mask & (1ULL << k)) == 0 || k == machine_.current_cpu()) {
-      continue;
-    }
-    if (machine_.CpuParked(k)) {
+    if (NudgeTarget(env, k)) {
       Trace(xtrace::Event::kIpi, k, 0);
       priv_.SendIpi(k, 0);  // Payload 0: reschedule; waking alone suffices.
     }
   }
+}
+
+bool Aegis::NudgeTarget(const Env& env, uint32_t cpu_index) const {
+  // An env with no slots yet can be picked up by any CPU's idle fallback.
+  const uint64_t mask = env.slot_mask != 0 ? env.slot_mask : ~0ULL;
+  return (mask & (1ULL << cpu_index)) != 0 && cpu_index != machine_.current_cpu() &&
+         machine_.CpuParked(cpu_index);
+}
+
+bool Aegis::OwesNudge(const Env& env) const {
+  if (env.state != EnvState::kRunnable || env.kill_pending || machine_.cpu_count() <= 1) {
+    return false;
+  }
+  for (uint32_t k = 0; k < machine_.cpu_count(); ++k) {
+    if (NudgeTarget(env, k)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // --- Scheduler (paper §5.1.1) ---
@@ -420,6 +499,28 @@ bool Aegis::RunnableOn(const Env& env, uint32_t cpu_index) const {
   return env.state == EnvState::kRunnable && env.on_cpu == kNoCpu && !env.kill_pending &&
          (machine_.cpu_count() == 1 || env.slot_mask == 0 ||
           (env.slot_mask & (1ULL << cpu_index)) != 0);
+}
+
+Aegis::Pick Aegis::PickNext(uint32_t cpu_index) {
+  CpuSched& cpu = cpu_[cpu_index];
+  if (cpu.yield_hint != kNoEnv) {
+    Env* target = FindEnv(cpu.yield_hint);
+    cpu.yield_hint = kNoEnv;
+    if (target != nullptr && target->state == EnvState::kRunnable &&
+        target->on_cpu == kNoCpu && !target->kill_pending) {
+      return {target, /*donated=*/true};
+    }
+  }
+  if (Env* env = FindEnv(NextRunnable(cpu_index))) {
+    return {env, /*donated=*/false};
+  }
+  // Excess-time penalties only bite under contention: if every runnable
+  // environment was skipped for penalties this pass, run one anyway rather
+  // than idling the processor. A CPU prefers envs holding one of its
+  // slots; an env with no slots anywhere may land on any processor.
+  const auto it = std::find_if(envs_.begin(), envs_.end(),
+                               [&](const auto& env) { return RunnableOn(*env, cpu_index); });
+  return {it != envs_.end() ? it->get() : nullptr, /*donated=*/false};
 }
 
 EnvId Aegis::NextRunnable(uint32_t cpu_index) {
@@ -539,30 +640,8 @@ void Aegis::RunCpu(uint32_t cpu_index) {
   CpuSched& cpu = cpu_[cpu_index];
   const auto runnable_here = [&](const auto& env) { return RunnableOn(*env, cpu_index); };
   while (AnyLive() && !powered_off_) {
-    EnvId next = kNoEnv;
-    bool donated = false;
-    if (cpu.yield_hint != kNoEnv) {
-      Env* target = FindEnv(cpu.yield_hint);
-      cpu.yield_hint = kNoEnv;
-      if (target != nullptr && target->state == EnvState::kRunnable &&
-          target->on_cpu == kNoCpu && !target->kill_pending) {
-        next = target->id;
-        donated = true;
-      }
-    }
-    if (next == kNoEnv) {
-      next = NextRunnable(cpu_index);
-    }
-    if (next == kNoEnv) {
-      // Excess-time penalties only bite under contention: if every
-      // runnable environment was skipped for penalties this pass, run one
-      // anyway rather than idling the processor. A CPU prefers envs
-      // holding one of its slots; an env with no slots anywhere may land
-      // on any processor.
-      const auto it = std::find_if(envs_.begin(), envs_.end(), runnable_here);
-      next = it != envs_.end() ? (*it)->id : kNoEnv;
-    }
-    if (next == kNoEnv) {
+    const Pick pick = std::exchange(cpu.picked_nothing, false) ? Pick{} : PickNext(cpu_index);
+    if (pick.env == nullptr) {
       priv_.ClearSliceDeadline();
       // That clear charged cycles, and any charge may deliver a due
       // interrupt (in a World it may even yield to another machine
@@ -575,31 +654,12 @@ void Aegis::RunCpu(uint32_t cpu_index) {
       }
       continue;
     }
-    Env& env = *FindEnv(next);
-    env.on_cpu = cpu_index;  // Claim before the first charge: no sibling
-                             // may pick this env while its resume is set up.
-    priv_.SetAsid(env.asid);
-    if (!donated || !priv_.slice_armed()) {
-      priv_.SetSliceDeadline(machine_.clock().now() + config_.slice_cycles);
-    }
-    ++env.slices_run;
-    cpu.current = next;
-    if (cpu_index != env.last_cpu) {
-      ++env.counters.migrations;
-      Trace(xtrace::Event::kMigration, env.last_cpu, cpu_index);
-      env.last_cpu = cpu_index;
-    }
-    Trace(xtrace::Event::kSliceSwitch, donated ? 1u : 0u);
-    const uint64_t resumed_at = machine_.clock().now();
-    DrainMailbox(env);
-    if (env.state == EnvState::kRunnable && !powered_off_) {
-      ResumeEnv(env);
-    }
-    env.counters.cycles_on_cpu += machine_.clock().now() - resumed_at;
-    env.on_cpu = kNoCpu;
-    cpu.current = kNoEnv;
-    if (env.state == EnvState::kRunnable && !env.kill_pending) {
-      NudgeCpusFor(env);  // Still runnable: a parked CPU holding its slot may run it.
+    Claim(pick, cpu_index);
+    hw::Fiber::Switch(cpu.kernel_fiber, *pick.env->fiber);
+    // An env fiber handed the CPU back (HandOff).
+    if (Env* env = std::exchange(cpu.release, nullptr)) {
+      EndTurn(*env);
+      NudgeCpusFor(*env);  // Still runnable: a parked CPU holding its slot may run it.
     }
   }
   priv_.ClearSliceDeadline();
@@ -669,7 +729,7 @@ void Aegis::SysYield(EnvId target) {
   } else {
     priv_.ClearSliceDeadline();  // Give up the remainder.
   }
-  SwitchToKernel();
+  LeaveCpu();
   machine_.Charge(kSyscallExit);
 }
 
@@ -684,7 +744,7 @@ void Aegis::SysBlock() {
   }
   env.state = EnvState::kBlocked;
   priv_.ClearSliceDeadline();
-  SwitchToKernel();
+  LeaveCpu();
   machine_.Charge(kSyscallExit);
 }
 
@@ -856,7 +916,7 @@ void Aegis::OnInterrupt(hw::InterruptSource source, uint64_t payload) {
         ++env.excess_penalty;  // Paid back with a forfeited slice.
         ++env.epilogue_overruns;
       }
-      SwitchToKernel();
+      LeaveCpu();
       break;
     }
     case hw::InterruptSource::kNicRx:
@@ -938,7 +998,7 @@ void Aegis::OnInterrupt(hw::InterruptSource source, uint64_t payload) {
         }
       }
       if (cur().env_fiber_active && cur().current != kNoEnv) {
-        SwitchToKernel();  // Never returns: Run() exits on powered_off_.
+        LeaveCpu();  // Never returns: Run() exits on powered_off_.
       }
       break;
     }
@@ -1236,11 +1296,19 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
       }
     }
   }
-  // The STLB's per-frame counts must match a recount of its valid slots.
+  // The STLB's per-frame and per-asid counts must match a recount of its
+  // valid slots.
   std::vector<uint16_t> frame_entries(pages_.size(), 0);
+  std::vector<uint16_t> asid_entries(stlb_.asid_entries().size(), 0);
+  bool asid_uncounted = false;
   for (const Stlb::Entry& entry : stlb_.slots()) {
     if (!entry.valid) {
       continue;
+    }
+    if (entry.asid < asid_entries.size()) {
+      ++asid_entries[entry.asid];
+    } else {
+      asid_uncounted = true;
     }
     if (!alive(static_cast<EnvId>(entry.asid))) {
       fail("STLB entry for dead asid " + std::to_string(entry.asid));
@@ -1257,6 +1325,9 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
            std::to_string(p) + ", its slots hold " + std::to_string(frame_entries[p]));
       break;  // One miscounted frame suffices.
     }
+  }
+  if (asid_uncounted || asid_entries != stlb_.asid_entries()) {
+    fail("STLB per-asid entry counts differ from its slots");
   }
 
   // Packet-filter bindings: live owner, and the pinned region is still his.

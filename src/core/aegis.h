@@ -16,12 +16,30 @@
 //     breaks the bindings by force and records them in the environment's
 //     repossession vector.
 //
-// Threading model: Aegis::Run() drives one scheduler loop per CPU through
+// Threading model: Aegis::Run() starts one scheduler loop per CPU through
 // hw::Machine::RunCpus, each on its own fiber ("kernel fiber"); each
 // environment runs on its own fiber. All syscalls are methods called from
 // environment fibers; they charge their documented path lengths to the
 // simulated clock. Each CPU owns a slice vector, and on a multi-CPU
 // machine revocation paths shoot down remote TLBs over IPIs.
+//
+// Handoff is direct. An environment whose turn ends (yield, block, slice
+// expiry, exit, kill) ends the turn, picks the next environment and
+// switches straight to its fiber on its own stack: one host switch, or
+// none when it picks itself. The picked environment begins its turn on its
+// own fiber (a fresh fiber does so before its entry). Picking and claiming
+// charge nothing, which is what makes this safe on SMP, where environment
+// fibers migrate between CPUs:
+//
+//   Invariant: once an environment's turn is released (on_cpu cleared), no
+//   cycle is charged on its stack until it is claimed again. A charge may
+//   run another CPU, which may then pick and resume that environment.
+//
+// So everything that charges between two turns stays on the CPU's kernel
+// fiber, which only that CPU ever runs: a release that owes IPI nudges to
+// parked CPUs (NudgeCpusFor), an empty pick (the CPU idles, with the empty
+// result handed over so the slice scan does not run twice), and the end of
+// the loop.
 #ifndef XOK_SRC_CORE_AEGIS_H_
 #define XOK_SRC_CORE_AEGIS_H_
 
@@ -534,10 +552,10 @@ class Aegis final : public hw::TrapSink {
     return envs_[id - 1].get();
   }
 
-  // Suspends the current environment's fiber and returns to the scheduler.
-  void SwitchToKernel();
-  // Resumes `env` on its fiber (kernel side).
-  void ResumeEnv(Env& env);
+  // Ends the current environment's turn and hands the CPU on (see the
+  // threading model). Returns once the environment has been picked again,
+  // on whichever CPU, and may run; an exited or killed one never returns.
+  void LeaveCpu();
   // Delivers queued async PCTs to `env` (runs its handler, charged).
   void DrainMailbox(Env& env);
   // Wakes `env` (kernel-internal paths), latching wakes aimed at runnable
@@ -553,10 +571,35 @@ class Aegis final : public hw::TrapSink {
   // RevokeSlices taking an env's last slot. GrantSlice needs none: only
   // CreateEnv and the running env itself call it.
   void NudgeCpusFor(const Env& env);
+  // True if NudgeCpusFor would IPI CPU `cpu_index` for `env` now.
+  bool NudgeTarget(const Env& env, uint32_t cpu_index) const;
+  // True if `env`'s turn ends owing a nudge that sends IPIs, i.e. charges:
+  // it is still runnable and a CPU it may run on is parked.
+  bool OwesNudge(const Env& env) const;
 
-  // Scheduler helpers. The per-CPU loop body and the slice scan both act
-  // on one CPU's slice vector.
+  // Scheduler. RunCpu is the kernel fiber's loop; the dispatch steps below
+  // are shared by it and by the fiber of an environment leaving the CPU.
   void RunCpu(uint32_t cpu_index);
+  struct Pick {
+    Env* env = nullptr;    // Null: nothing this CPU may run.
+    bool donated = false;  // A directed yield's target.
+  };
+  // The environment CPU `cpu_index` runs next: the directed-yield hint,
+  // then the slice scan, then the excess-penalty fallback. Charges nothing.
+  Pick PickNext(uint32_t cpu_index);
+  // Claims the pick for CPU `cpu_index`; the caller then switches to it.
+  void Claim(const Pick& pick, uint32_t cpu_index);
+  // On `env`'s fiber, once claimed: sets the address space and slice,
+  // delivers its mailbox and restores its trap depth. False if `env` may
+  // not run after all (it died, or the power failed).
+  bool BeginTurn(Env& env);
+  // The turn's accounting and release. A still-runnable env may owe parked
+  // CPUs a nudge on top (OwesNudge), which the kernel fiber sends.
+  void EndTurn(Env& env);
+  // On `env`'s fiber, its turn over: ends the turn and switches to the
+  // next pick, or to the kernel fiber for anything that charges. Returns
+  // when `env` has been picked and claimed again.
+  void HandOff(Env& env);
   EnvId NextRunnable(uint32_t cpu_index);
   // True if CPU `cpu_index` may run `env` now: runnable, on no CPU, not
   // being killed, and holding a slot here unless it may land anywhere (a
@@ -664,13 +707,19 @@ class Aegis final : public hw::TrapSink {
     uint32_t slice_cursor = 0;
     EnvId yield_hint = kNoEnv;  // Directed-yield target (slice donation).
     EnvId current = kNoEnv;
-    hw::Fiber kernel_fiber;  // Continuation slot for this CPU's loop.
+    // Continuation slot for this CPU's loop (RunCpu), resumed by an env
+    // fiber that hands it the release, the empty pick or the loop's end.
+    hw::Fiber kernel_fiber;
+    bool donated = false;         // The claimed turn runs on a donated slice.
+    uint64_t turn_start = 0;      // Cycle the current turn began.
+    Env* release = nullptr;       // Handed back: a release that owes nudges.
+    bool picked_nothing = false;  // Handed back: an empty pick, to idle on.
     bool in_pct = false;
     bool slice_expired_during_pct = false;
-    // True only while control is on current's own fiber (between
-    // ResumeEnv's switch in and out): the power-cut handler may abandon
-    // the environment with SwitchToKernel only then, never from
-    // kernel-fiber interrupt delivery (DrainMailbox, WaitForInterrupt).
+    // True only while current runs its own code (from the end of
+    // BeginTurn until LeaveCpu): the power-cut handler may abandon the
+    // environment with LeaveCpu only then, never from interrupt delivery
+    // inside a dispatch (BeginTurn's mailbox, WaitForInterrupt).
     bool env_fiber_active = false;
 
     void SetSlot(uint32_t slot, EnvId owner);

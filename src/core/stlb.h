@@ -42,6 +42,10 @@ class Stlb {
     Drop(entry);
     entry = Entry{vpn, asid, pfn, writable, true};
     ++frame_entries_[pfn];
+    if (asid >= asid_entries_.size()) {
+      asid_entries_.resize(asid + 1u, 0);
+    }
+    ++asid_entries_[asid];
   }
 
   void Invalidate(hw::Vpn vpn, hw::Asid asid) {
@@ -51,16 +55,17 @@ class Stlb {
     }
   }
 
+  // The flushes sweep the slots only while the asid or frame still has
+  // valid entries; one that holds none (the common case when an
+  // environment exits or a frame is released) costs one load.
   void FlushAsid(hw::Asid asid) {
-    for (Entry& entry : slots_) {
-      if (entry.asid == asid) {
-        Drop(entry);
+    for (uint32_t slot = 0; slot < kEntries && AsidEntries(asid) > 0; ++slot) {
+      if (slots_[slot].asid == asid) {
+        Drop(slots_[slot]);
       }
     }
   }
 
-  // Sweeps the slots only while the frame still has valid entries; a frame
-  // that was never mapped (the common case on release) costs one load.
   void FlushPfn(hw::PageId pfn) {
     for (uint32_t slot = 0; slot < kEntries && frame_entries_[pfn] > 0; ++slot) {
       if (slots_[slot].pfn == pfn) {
@@ -74,28 +79,39 @@ class Stlb {
       entry.valid = false;
     }
     std::fill(frame_entries_.begin(), frame_entries_.end(), 0);
+    std::fill(asid_entries_.begin(), asid_entries_.end(), 0);
   }
 
   // Diagnostic views for the kernel invariant auditor. frame_entries()[p]
-  // counts the valid slots naming frame p: a host-side summary of slots()
-  // that charges nothing.
+  // counts the valid slots naming frame p, and asid_entries()[a] those
+  // tagged with asid a (an asid past its end has none): host-side
+  // summaries of slots() that charge nothing.
   const std::array<Entry, kEntries>& slots() const { return slots_; }
   const std::vector<uint16_t>& frame_entries() const { return frame_entries_; }
+  const std::vector<uint16_t>& asid_entries() const { return asid_entries_; }
 
  private:
   static uint32_t SlotOf(hw::Vpn vpn, hw::Asid asid) {
     return (vpn ^ (static_cast<uint32_t>(asid) << 7)) & (kEntries - 1);
   }
 
+  uint16_t AsidEntries(hw::Asid asid) const {
+    return asid < asid_entries_.size() ? asid_entries_[asid] : 0;
+  }
+
   void Drop(Entry& entry) {
     if (entry.valid) {
       entry.valid = false;
       --frame_entries_[entry.pfn];
+      --asid_entries_[entry.asid];
     }
   }
 
   std::array<Entry, kEntries> slots_{};
-  std::vector<uint16_t> frame_entries_;  // Fits: at most kEntries per frame.
+  // Both fit: at most kEntries per frame or asid. The asid counts grow to
+  // the highest asid inserted.
+  std::vector<uint16_t> frame_entries_;
+  std::vector<uint16_t> asid_entries_;
 };
 
 }  // namespace xok::aegis

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <tuple>
+#include <utility>
 
 namespace xok::hw {
 
@@ -114,11 +115,22 @@ void Wire::Broadcast(Nic* sender, uint64_t seq, std::span<const uint8_t> frame) 
   const MacAddr dst = ReadMac(bytes, 0);
   const uint64_t arrival = sender->machine_.clock().now() +
                            bytes.size() * kWireCyclesPerByte + kNicControllerLatency;
+  const auto receives = [&](const Nic* nic) {
+    return nic != sender && (dst == kBroadcastMac || dst == nic->mac());
+  };
+  // Each receiver but the last gets a copy; the last takes `bytes` itself.
+  Nic* last = nullptr;
   for (Nic* nic : nics_) {
-    if (nic == sender) {
-      continue;
+    if (receives(nic)) {
+      last = nic;
     }
-    if (dst == kBroadcastMac || dst == nic->mac()) {
+  }
+  for (Nic* nic : nics_) {
+    if (nic == last) {
+      nic->Arrive(arrival, origin, seq, std::move(bytes));
+      break;
+    }
+    if (receives(nic)) {
       nic->Arrive(arrival, origin, seq, bytes);
     }
   }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "src/hw/framebuffer.h"
 #include "src/hw/machine.h"
 #include "src/hw/mapping.h"
+#include "src/hw/nic.h"
+#include "src/hw/world.h"
 
 namespace xok::hw {
 namespace {
@@ -414,6 +417,58 @@ TEST_F(DiskDurabilityTest, CancelIfSparesBarrierRequests) {
     ASSERT_TRUE(barrier.ok());
     EXPECT_TRUE(barrier->barrier);
   });
+}
+
+
+TEST(WireTest, BroadcastReachesEveryOtherStationAndUnicastOnlyItsOwn) {
+  // Station 0 sends a broadcast frame, then a unicast frame to station 2.
+  // Every other station receives the broadcast byte for byte; only station
+  // 2 receives the unicast; the sender hears neither.
+  constexpr int kStations = 4;
+  World world;
+  std::vector<std::unique_ptr<Machine>> machines;
+  std::vector<std::unique_ptr<RecordingKernel>> kernels;
+  std::vector<std::unique_ptr<Nic>> nics;
+  Wire wire;
+  for (int i = 0; i < kStations; ++i) {
+    machines.push_back(std::make_unique<Machine>(
+        Machine::Config{.phys_pages = 16, .name = "station"}, &world));
+    kernels.push_back(std::make_unique<RecordingKernel>(*machines.back()));
+    nics.push_back(std::make_unique<Nic>(*machines.back(), 0xa0 + i));
+    wire.Attach(nics.back().get());
+  }
+  const auto frame = [](MacAddr dst, uint8_t seed) {
+    std::vector<uint8_t> f(14 + 64);
+    for (int i = 0; i < 6; ++i) {
+      f[i] = static_cast<uint8_t>(dst >> (8 * (5 - i)));
+      f[6 + i] = static_cast<uint8_t>(MacAddr{0xa0} >> (8 * (5 - i)));
+    }
+    for (size_t i = 12; i < f.size(); ++i) {
+      f[i] = static_cast<uint8_t>(seed + 7 * i);
+    }
+    return f;
+  };
+  const std::vector<uint8_t> broadcast = frame(kBroadcastMac, 1);
+  const std::vector<uint8_t> unicast = frame(0xa2, 2);
+  std::vector<std::vector<std::vector<uint8_t>>> received(kStations);
+  std::vector<std::function<void()>> bodies;
+  for (int i = 0; i < kStations; ++i) {
+    bodies.push_back([&, i] {
+      if (i == 0) {
+        ASSERT_TRUE(nics[0]->Transmit(broadcast));
+        ASSERT_TRUE(nics[0]->Transmit(unicast));
+      }
+      machines[i]->Charge(100'000);  // Past both frames' arrival.
+      while (auto f = nics[i]->ReceiveNext()) {
+        received[i].push_back(std::move(*f));
+      }
+    });
+  }
+  world.Run(std::move(bodies));
+  EXPECT_TRUE(received[0].empty());
+  EXPECT_EQ(received[1], (std::vector<std::vector<uint8_t>>{broadcast}));
+  EXPECT_EQ(received[2], (std::vector<std::vector<uint8_t>>{broadcast, unicast}));
+  EXPECT_EQ(received[3], (std::vector<std::vector<uint8_t>>{broadcast}));
 }
 
 }  // namespace

@@ -85,6 +85,45 @@ TEST(Stlb, DirectMappedConflictEvicts) {
   EXPECT_EQ(stlb.Lookup(5 + Stlb::kEntries, 1)->pfn, 11u);
 }
 
+TEST(Stlb, AsidCountsFollowEveryMutator) {
+  Stlb stlb(kFrames);
+  const auto count = [&stlb](hw::Asid asid) -> uint32_t {
+    return asid < stlb.asid_entries().size() ? stlb.asid_entries()[asid] : 0;
+  };
+  stlb.Insert(5, 1, 10, true);
+  stlb.Insert(6, 1, 11, true);
+  stlb.Insert(7, 2, 10, true);
+  EXPECT_EQ(count(1), 2u);
+  EXPECT_EQ(count(2), 1u);
+  EXPECT_EQ(count(3), 0u);
+  // Overwrite: (261, 3) lands in (5, 1)'s slot and moves the count.
+  stlb.Insert(261, 3, 12, false);
+  EXPECT_EQ(stlb.Lookup(5, 1), nullptr);
+  EXPECT_EQ(count(1), 1u);
+  EXPECT_EQ(count(3), 1u);
+  // Re-inserting in place keeps the count.
+  stlb.Insert(261, 3, 13, true);
+  EXPECT_EQ(count(3), 1u);
+  stlb.Invalidate(6, 1);
+  stlb.Invalidate(6, 1);  // Already gone: no second decrement.
+  EXPECT_EQ(count(1), 0u);
+  stlb.FlushPfn(10);  // Drops (7, 2).
+  EXPECT_EQ(count(2), 0u);
+  stlb.Insert(8, 2, 14, true);
+  stlb.Insert(9, 2, 15, true);
+  EXPECT_EQ(count(2), 2u);
+  stlb.FlushAsid(2);
+  EXPECT_EQ(count(2), 0u);
+  EXPECT_EQ(stlb.Lookup(8, 2), nullptr);
+  EXPECT_EQ(stlb.Lookup(9, 2), nullptr);
+  EXPECT_EQ(count(3), 1u);
+  stlb.FlushAsid(7);  // Never inserted: nothing to sweep.
+  EXPECT_NE(stlb.Lookup(261, 3), nullptr);
+  stlb.FlushAll();
+  EXPECT_EQ(count(3), 0u);
+  EXPECT_EQ(stlb.Lookup(261, 3), nullptr);
+}
+
 // Property: the STLB never *invents* a translation — every hit matches the
 // most recent insert for that (vpn, asid).
 TEST(Stlb, PropertyNeverInventsMappings) {
@@ -120,10 +159,10 @@ TEST(Stlb, PropertyNeverInventsMappings) {
   }
 }
 
-// Property: the per-frame counts stay exact under every mutator, and
-// FlushPfn (which trusts them to stop early) leaves no valid entry naming
-// the flushed frame. Few frames, asids and vpns force slot conflicts and
-// overwrites of a slot's frame.
+// Property: the per-frame and per-asid counts stay exact under every
+// mutator, and FlushPfn and FlushAsid (which trust them to stop early)
+// leave no valid entry naming the flushed frame or asid. Few frames, asids
+// and vpns force slot conflicts and overwrites of a slot's frame.
 TEST(Stlb, PropertyFrameCountsMatchSlots) {
   constexpr uint32_t kFewFrames = 24;
   Stlb stlb(kFewFrames);
@@ -144,16 +183,23 @@ TEST(Stlb, PropertyFrameCountsMatchSlots) {
       }
     } else if (op < 99) {
       stlb.FlushAsid(asid);
+      for (const Stlb::Entry& entry : stlb.slots()) {
+        ASSERT_FALSE(entry.valid && entry.asid == asid) << "step " << step;
+      }
     } else {
       stlb.FlushAll();
     }
     std::vector<uint16_t> recount(kFewFrames, 0);
+    std::vector<uint16_t> asid_recount(stlb.asid_entries().size(), 0);
     for (const Stlb::Entry& entry : stlb.slots()) {
       if (entry.valid) {
         ++recount[entry.pfn];
+        ASSERT_LT(entry.asid, asid_recount.size()) << "step " << step;
+        ++asid_recount[entry.asid];
       }
     }
     ASSERT_EQ(stlb.frame_entries(), recount) << "step " << step << " op " << op;
+    ASSERT_EQ(stlb.asid_entries(), asid_recount) << "step " << step << " op " << op;
   }
 }
 
