@@ -502,29 +502,30 @@ Status LibFs::Barrier() {
 // --- Transactions ---
 
 Result<std::span<uint8_t>> LibFs::TxnStage(uint32_t block) {
-  for (TxnBlock& staged : txn_) {
+  for (TxnBlock& staged : Staged()) {
     if (staged.block == block) {
       return std::span<uint8_t>(staged.bytes);
     }
   }
-  if (txn_.size() >= kMaxTxnBlocks) {
+  if (txn_blocks_ >= kMaxTxnBlocks) {
     return Status::kErrNoResources;
   }
   Result<std::span<uint8_t>> current = cache_->GetBlock(block, /*for_write=*/false);
   if (!current.ok()) {
     return current.status();
   }
-  txn_.reserve(kMaxTxnBlocks);
-  txn_.push_back(TxnBlock{block, std::vector<uint8_t>(current->begin(), current->end())});
-  return std::span<uint8_t>(txn_.back().bytes);
+  TxnBlock& staged = txn_[txn_blocks_++];
+  staged.block = block;
+  std::copy(current->begin(), current->end(), staged.bytes.begin());
+  return std::span<uint8_t>(staged.bytes);
 }
 
 Status LibFs::CommitTxn() {
-  if (txn_.empty()) {
+  if (txn_blocks_ == 0) {
     return Status::kOk;
   }
   if (journaled()) {
-    const uint32_t record_blocks = 2 + static_cast<uint32_t>(txn_.size());
+    const uint32_t record_blocks = 2 + txn_blocks_;
     if (journal_head_ + record_blocks > journal_blocks_) {
       // Journal full: checkpoint (home locations catch up, head rewinds).
       const Status checkpointed = Checkpoint();
@@ -539,8 +540,8 @@ Status LibFs::CommitTxn() {
     std::span<uint8_t> desc(scratch_);
     WriteLe32(desc, 0, kDescMagic);
     WriteLe32(desc, 4, txn_id);
-    WriteLe32(desc, 8, static_cast<uint32_t>(txn_.size()));
-    for (size_t i = 0; i < txn_.size(); ++i) {
+    WriteLe32(desc, 8, txn_blocks_);
+    for (uint32_t i = 0; i < txn_blocks_; ++i) {
       WriteLe32(desc, 12 + 4 * i, txn_[i].block);
     }
     proc_.machine().Charge(Instr(hw::kPageBytes / 4));  // Checksum pass.
@@ -552,11 +553,10 @@ Status LibFs::CommitTxn() {
     }
     // Payload blocks: the new images, verbatim.
     uint32_t payload_checksum = kJournalChecksumSeed;
-    for (size_t i = 0; i < txn_.size(); ++i) {
+    for (uint32_t i = 0; i < txn_blocks_; ++i) {
       proc_.machine().Charge(Instr(hw::kPageBytes / 4));
       payload_checksum = JournalChecksum(txn_[i].bytes, payload_checksum);
-      written = RawWrite(kJournalStart + journal_head_ + 1 + static_cast<uint32_t>(i),
-                         txn_[i].bytes);
+      written = RawWrite(kJournalStart + journal_head_ + 1 + i, txn_[i].bytes);
       if (written != Status::kOk) {
         AbortTxn();
         return written;
@@ -589,7 +589,7 @@ Status LibFs::CommitTxn() {
   // Only now may the new images enter the write-back cache: any eviction
   // that carries them toward their home locations happens strictly after
   // the commit barrier (write-ahead rule).
-  for (const TxnBlock& staged : txn_) {
+  for (const TxnBlock& staged : Staged()) {
     Result<std::span<uint8_t>> home = cache_->GetBlock(staged.block, /*for_write=*/true);
     if (!home.ok()) {
       return home.status();
@@ -597,7 +597,7 @@ Status LibFs::CommitTxn() {
     proc_.machine().Charge(hw::kMemWordCopy * (hw::kPageBytes / 4));
     std::copy(staged.bytes.begin(), staged.bytes.end(), home->begin());
   }
-  txn_.clear();
+  txn_blocks_ = 0;
   return Status::kOk;
 }
 
@@ -765,7 +765,7 @@ Result<FileHandle> LibFs::Create(std::string_view name) {
   std::memcpy(entry, name.data(), name.size());
   entry[name.size()] = 0;
   WriteLe32(*dir, entry_index * kDirEntryBytes + 28, handle);
-  Result<std::span<uint8_t>> inodes = TxnStage(kInodeBlock);  // May invalidate `dir`.
+  Result<std::span<uint8_t>> inodes = TxnStage(kInodeBlock);
   if (!inodes.ok()) {
     AbortTxn();
     return inodes.status();

@@ -36,6 +36,7 @@
 #ifndef XOK_SRC_EXOS_FS_H_
 #define XOK_SRC_EXOS_FS_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -254,7 +255,7 @@ class LibFs {
   // metadata.
   struct TxnBlock {
     uint32_t block = 0;
-    std::vector<uint8_t> bytes;
+    std::array<uint8_t, hw::kPageBytes> bytes;
   };
 
   Result<Inode> LoadInode(FileHandle file);
@@ -266,7 +267,8 @@ class LibFs {
   // Journals the staged images (descriptor + payloads + commit + barrier),
   // then applies them to the cache. With journaling off, just applies.
   Status CommitTxn();
-  void AbortTxn() { txn_.clear(); }
+  void AbortTxn() { txn_blocks_ = 0; }
+  std::span<TxnBlock> Staged() { return std::span(txn_).first(txn_blocks_); }
   // Flush + barrier + journal-head rewind (all committed txns are home).
   Status Checkpoint();
   // Journal replay at mount: applies committed transactions in txn-id
@@ -293,7 +295,10 @@ class LibFs {
   uint32_t data_start_ = kJournalStart;
   uint32_t journal_head_ = 0;  // Next free block, relative to kJournalStart.
   uint32_t next_txn_id_ = 1;
-  std::vector<TxnBlock> txn_;          // Staged images of the open txn.
+  // Staging buffers, reused by every transaction: the open one's images
+  // are the first txn_blocks_, and staging never moves an earlier one.
+  std::array<TxnBlock, kMaxTxnBlocks> txn_;
+  uint32_t txn_blocks_ = 0;
   std::vector<uint8_t> scratch_;       // One-block build buffer.
   hw::PageId raw_frame_ = 0;           // Journal DMA frame (cache-bypassing).
   bool raw_frame_ok_ = false;

@@ -306,6 +306,11 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   // (req id, first-send -> ack) per acked data request: the SLO ledger
   // and the join key into reqtrace timelines for late-request attribution.
   std::vector<std::pair<uint32_t, uint64_t>> acked_rtts;
+  // Sized once for every data request. Grown by doubling, they raised the
+  // host heap's high-water mark past what malloc keeps after a free, so
+  // each run gave ~60 KB back to the host and faulted it in again.
+  latencies.reserve(config.requests);
+  acked_rtts.reserve(config.requests);
 
   uint32_t next_id = 1;
   uint32_t data_sent = 0;

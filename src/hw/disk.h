@@ -19,7 +19,12 @@
 // Block per block ever made durable, null for a block that reads zero. A
 // write fills a buffer Block, and a barrier moves each buffered Block into
 // its platter slot, so a barrier copies nothing and a never-written block
-// costs the host one null pointer.
+// costs the host one null pointer. Blocks come from a per-thread free list
+// and go back to it when a barrier displaces a platter block, when a power
+// cut or RestoreImage drops buffered or zero blocks, and when the disk is
+// destroyed, so a disk's lifetime allocates little once the list is full.
+// A pooled Block holds its last owner's bytes: every taker overwrites it
+// whole or zeroes it.
 #ifndef XOK_SRC_HW_DISK_H_
 #define XOK_SRC_HW_DISK_H_
 
@@ -50,6 +55,17 @@ class Disk {
 
   Disk(Machine& machine, uint32_t block_count)
       : machine_(machine), block_count_(block_count), platter_(block_count) {}
+
+  // Gives every platter and buffer block back to the free list.
+  ~Disk() {
+    for (std::unique_ptr<Block>& block : platter_) {
+      Recycle(std::move(block));
+    }
+    DropBuffer();
+  }
+
+  Disk(const Disk&) = delete;
+  Disk& operator=(const Disk&) = delete;
 
   uint32_t block_count() const { return block_count_; }
 
@@ -98,10 +114,10 @@ class Disk {
     inflight_.erase(it);
     if (req.kind == Kind::kBarrier) {
       for (auto& [block, bytes] : buffer_) {
-        platter_[block] = std::move(bytes);
+        platter_[block].swap(bytes);  // DropBuffer recycles the displaced block.
         ++blocks_made_durable_;
       }
-      buffer_.clear();
+      DropBuffer();
       ++barriers_completed_;
       return Completion{0, true, /*failed=*/false, /*barrier=*/true};
     }
@@ -117,7 +133,7 @@ class Disk {
       // Acknowledged into the volatile buffer; durable only after a barrier.
       std::unique_ptr<Block>& buffered = buffer_[req.block];
       if (buffered == nullptr) {
-        buffered = std::make_unique_for_overwrite<Block>();
+        buffered = TakeBlock();
       }
       std::copy(frame_span.begin(), frame_span.end(), buffered->begin());
     } else {
@@ -167,12 +183,13 @@ class Disk {
       if (words > 0) {
         std::unique_ptr<Block>& durable = platter_[block];
         if (durable == nullptr) {
-          durable = std::make_unique<Block>();  // The prefix lands over zeros.
+          durable = TakeBlock();
+          durable->fill(0);  // The prefix lands over zeros.
         }
         std::copy(bytes->begin(), bytes->begin() + words * 4, durable->begin());
       }
     }
-    buffer_.clear();
+    DropBuffer();
     inflight_.clear();
     powered_off_ = true;
   }
@@ -199,15 +216,15 @@ class Disk {
     for (size_t block = 0; block < platter_.size(); ++block) {
       const auto from = image.begin() + static_cast<std::ptrdiff_t>(block * kPageBytes);
       if (std::all_of(from, from + kPageBytes, [](uint8_t b) { return b == 0; })) {
-        platter_[block].reset();  // Reads zero.
+        Recycle(std::move(platter_[block]));  // Reads zero.
         continue;
       }
       if (platter_[block] == nullptr) {
-        platter_[block] = std::make_unique_for_overwrite<Block>();
+        platter_[block] = TakeBlock();
       }
       std::copy(from, from + kPageBytes, platter_[block]->begin());
     }
-    buffer_.clear();
+    DropBuffer();
     inflight_.clear();
     powered_off_ = false;
     return Status::kOk;
@@ -218,10 +235,45 @@ class Disk {
   bool powered_off() const { return powered_off_; }
   uint64_t barriers_completed() const { return barriers_completed_; }
   uint64_t blocks_made_durable() const { return blocks_made_durable_; }
+  // Blocks the host holds for the platter; a block that reads zero after
+  // RestoreImage, or was never made durable, holds none.
+  size_t platter_blocks() const {
+    return static_cast<size_t>(std::count_if(platter_.begin(), platter_.end(),
+                                             [](const auto& block) { return block != nullptr; }));
+  }
 
  private:
   enum class Kind : uint8_t { kRead, kWrite, kBarrier };
   using Block = std::array<uint8_t, kPageBytes>;
+
+  // Blocks given back on this thread, for the next block any disk here
+  // fills. The cap (16 MB of blocks) keeps a test that makes many disks
+  // from holding all their memory.
+  static constexpr size_t kBlockPoolCap = 4096;
+  static inline thread_local std::vector<std::unique_ptr<Block>> free_blocks_;
+
+  // A block holding stale bytes: the caller overwrites or zeroes all of it.
+  static std::unique_ptr<Block> TakeBlock() {
+    if (free_blocks_.empty()) {
+      return std::make_unique_for_overwrite<Block>();
+    }
+    std::unique_ptr<Block> block = std::move(free_blocks_.back());
+    free_blocks_.pop_back();
+    return block;
+  }
+  // Leaves `block` null; frees it when the list is full.
+  static void Recycle(std::unique_ptr<Block>&& block) {
+    if (block != nullptr && free_blocks_.size() < kBlockPoolCap) {
+      free_blocks_.push_back(std::move(block));
+    }
+    block.reset();
+  }
+  void DropBuffer() {
+    for (auto& [block, bytes] : buffer_) {
+      Recycle(std::move(bytes));
+    }
+    buffer_.clear();
+  }
 
   struct Request {
     uint32_t block = 0;

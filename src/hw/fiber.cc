@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -83,23 +82,7 @@ namespace {
 constexpr uint32_t kInitialMxcsr = 0x1f80;
 constexpr uint16_t kInitialX87Cw = 0x037f;
 
-// Default-size stacks of destroyed fibers, reused by the next fibers made on
-// this thread so that a fiber's lifetime costs no system call. A rack of
-// five machines keeps ~34 fibers alive; the cap leaves room for that and
-// keeps a test that makes thousands of fibers from holding their memory.
-constexpr size_t kStackPoolCap = 64;
-thread_local std::vector<Mapping> stack_pool;
-
-Mapping TakeStack(size_t stack_bytes) {
-  if (stack_bytes != Fiber::kDefaultStackBytes || stack_pool.empty()) {
-    return Mapping(stack_bytes);
-  }
-  Mapping stack = std::move(stack_pool.back());
-  stack_pool.pop_back();
-  return stack;
-}
-
-// Per thread, like the stack pool, so counting costs no locked instruction.
+// Per thread, so counting costs no locked instruction.
 thread_local uint64_t switches_made = 0;
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -115,7 +98,7 @@ Fiber::Fiber() {
 }
 
 Fiber::Fiber(Entry entry, size_t stack_bytes)
-    : stack_(TakeStack(stack_bytes)), entry_(std::move(entry)) {
+    : stack_(Mapping::Take(stack_bytes, Mapping::Contents::kAny)), entry_(std::move(entry)) {
   uint8_t* lo = stack_.bytes().data();
   stack_lo_ = lo;
   stack_bytes_ = stack_.bytes().size();
@@ -141,9 +124,7 @@ Fiber::~Fiber() {
   // inherit them.
   ASAN_UNPOISON_MEMORY_REGION(stack_.bytes().data(), stack_.bytes().size());
 #endif
-  if (stack_.bytes().size() == kDefaultStackBytes && stack_pool.size() < kStackPoolCap) {
-    stack_pool.push_back(std::move(stack_));
-  }
+  Mapping::Recycle(std::move(stack_), Mapping::Contents::kAny);
 }
 
 uint64_t Fiber::switches() { return switches_made; }

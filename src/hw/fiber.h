@@ -11,9 +11,9 @@
 // is no signal mask and no system call. Stacks are lazily backed,
 // guard-paged mappings (mapping.h), so untouched pages are never faulted in
 // and an overflow faults instead of corrupting the heap. A destroyed
-// fiber's default-size stack goes to a small per-thread free list that the
-// next fiber takes it from, so making and destroying fibers costs no
-// system call either once the list holds enough stacks.
+// fiber's stack goes back to the per-thread mapping pool, and the next
+// fiber of that stack size takes it from there, so making and destroying
+// fibers costs no system call either once the pool holds enough stacks.
 #ifndef XOK_SRC_HW_FIBER_H_
 #define XOK_SRC_HW_FIBER_H_
 
@@ -39,8 +39,8 @@ class Fiber {
   // entry aborts the process, because there is nowhere to go.
   explicit Fiber(Entry entry, size_t stack_bytes = kDefaultStackBytes);
 
-  // Returns the stack to the free list, or unmaps it when the list is full
-  // or the stack is not default-size. The fiber must not be running.
+  // Gives the stack back to the mapping pool (Mapping::Recycle), which
+  // unmaps it when full. The fiber must not be running.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;

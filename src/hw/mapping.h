@@ -5,9 +5,15 @@
 // and in time) only for pages the simulation actually writes, and an
 // access just past either end faults instead of landing in a neighbour.
 // Transparent huge pages are declined, so a touch costs one host page.
-// Each Mapping costs five system calls over its life (mmap, two mprotects,
-// madvise, munmap), so fiber stacks are recycled (fiber.h) rather than
-// made per fiber, and a disk platter is heap blocks (disk.h), not a Mapping.
+//
+// A fresh Mapping costs five system calls over its life (mmap, two
+// mprotects, madvise, munmap) and a host page fault per page it touches,
+// so its owners give it back to a per-thread pool (Recycle) and the next
+// owner of the same size takes it from there (Take): fiber stacks
+// (fiber.h) and physical memory (phys_mem.h) share the pool, and a machine
+// built after an identical one maps nothing and faults in no page its
+// predecessor touched. The pool keeps mappings that read zero apart from
+// ones that do not. A disk platter is heap blocks (disk.h), not a Mapping.
 #ifndef XOK_SRC_HW_MAPPING_H_
 #define XOK_SRC_HW_MAPPING_H_
 
@@ -19,6 +25,12 @@ namespace xok::hw {
 
 class Mapping {
  public:
+  // What a mapping given back to the pool holds, and what a taker needs.
+  enum class Contents : uint8_t {
+    kZero,  // Every byte reads zero (physical memory).
+    kAny,   // Whatever its last owner left (fiber stacks).
+  };
+
   // An empty mapping: bytes() is empty and nothing is unmapped.
   Mapping() = default;
 
@@ -33,9 +45,20 @@ class Mapping {
   Mapping(const Mapping&) = delete;
   Mapping& operator=(const Mapping&) = delete;
 
-  // Mappings made by this process so far. Host-side and charged to no
-  // simulated clock, like EnvCounters: it tells a test what a run asked of
-  // the host, not what the simulated machine did.
+  // A mapping of `bytes` (rounded up to whole host pages) holding
+  // `contents`: the one this thread gave back last at that size and with
+  // those contents, or a fresh one when the pool has none.
+  static Mapping Take(size_t bytes, Contents contents);
+
+  // Gives `mapping` to this thread's pool for the next Take of its size and
+  // `contents`, or unmaps it when that size's pool is full. The caller
+  // vouches for `contents`. Giving back an empty mapping does nothing.
+  static void Recycle(Mapping mapping, Contents contents);
+
+  // Fresh mappings made by this process so far; a mapping taken from the
+  // pool is not counted again. Host-side and charged to no simulated clock,
+  // like EnvCounters: it tells a test what a run asked of the host, not
+  // what the simulated machine did.
   static uint64_t made();
 
   // The usable bytes, between the guard pages. Moving the Mapping does not

@@ -14,6 +14,7 @@
 #include "src/hw/machine.h"
 #include "src/hw/mapping.h"
 #include "src/hw/nic.h"
+#include "src/hw/phys_mem.h"
 #include "src/hw/world.h"
 
 namespace xok::hw {
@@ -159,6 +160,57 @@ TEST(MappingTest, DiskSizedMappingBacksOnlyWrittenPages) {
   EXPECT_EQ(moved.bytes().data(), bytes.data());
   EXPECT_EQ(moved.bytes()[5 * kPageBytes + 17], 0x5a);
   EXPECT_EQ(moved.bytes()[kBytes - 1], 0u);
+}
+
+// --- Recycled physical memory ---
+
+// Every byte of every frame, read through the const view (which marks no
+// frame dirty), is zero.
+bool AllFramesReadZero(const PhysMem& mem) {
+  for (PageId page = 0; page < mem.page_count(); ++page) {
+    std::span<const uint8_t> frame = mem.PageSpan(page);
+    if (!std::all_of(frame.begin(), frame.end(), [](uint8_t b) { return b == 0; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PhysMemTest, ASameSizeMachineReusesTheMemoryZeroed) {
+  // 256 frames: four words of the dirty bitmap.
+  const Machine::Config config{.phys_pages = 256, .name = "recycled"};
+  const uint64_t zeroed_before = PhysMem::frames_zeroed();
+  {
+    Machine first(config);
+    PhysMem& mem = first.mem();
+    mem.WriteWord(0, 0xdeadbeef);                         // Frame 0.
+    mem.WriteWord(255 * kPageBytes + kPageBytes - 4, 1);  // The last word of the last frame.
+    auto fill = [](std::span<uint8_t> bytes) {
+      std::fill(bytes.begin(), bytes.end(), uint8_t{0xa5});
+    };
+    fill(mem.PageSpan(5));
+    fill(mem.RangeSpan(10, 11));   // Frames 10-20: inside word 0.
+    fill(mem.RangeSpan(60, 11));   // Frames 60-70: across words 0 and 1.
+    fill(mem.RangeSpan(100, 151)); // Frames 100-250: words 1, 2 and 3.
+    fill(mem.RangeSpan(30, 0));    // An empty range marks nothing.
+    mem.PageSpan(5)[0] = 1;        // A frame handed out twice is zeroed once.
+  }
+  EXPECT_EQ(PhysMem::frames_zeroed() - zeroed_before, 1u + 1 + 1 + 11 + 11 + 151);
+
+  const uint64_t mappings = Mapping::made();
+  const uint8_t* recycled = nullptr;
+  {
+    Machine second(config);
+    EXPECT_EQ(Mapping::made(), mappings) << "the second machine mapped fresh memory";
+    EXPECT_TRUE(AllFramesReadZero(second.mem()));
+    recycled = std::as_const(second.mem()).PageSpan(0).data();
+  }
+
+  // A machine of another size never takes that memory, though it is back
+  // in the pool.
+  Machine other(Machine::Config{.phys_pages = 128, .name = "other"});
+  EXPECT_NE(std::as_const(other.mem()).PageSpan(0).data(), recycled);
+  EXPECT_TRUE(AllFramesReadZero(other.mem()));
 }
 
 // --- Volatile write buffer, barriers, power cuts ---
@@ -354,6 +406,84 @@ TEST_F(DiskDurabilityTest, RestoreImageOntoAUsedDiskZeroesBlocksAbsentFromTheIma
     }
     ASSERT_TRUE(Retire(disk_.SubmitRead(4, 3)).ok());
     EXPECT_EQ(frame3[1], static_cast<uint8_t>(3 + 50));
+  });
+}
+
+// --- Recycled disk blocks ---
+
+TEST_F(DiskDurabilityTest, PooledBlocksNeverShowAPreviousDisksBytes) {
+  RunOnCpu([&] {
+    // A disk that barriers four blocks and buffers two more, then is
+    // destroyed: its six blocks go to the free list holding 0xee.
+    {
+      Disk previous(machine_, 128);
+      const auto retire = [&](Result<uint64_t> id) {
+        ASSERT_TRUE(id.ok());
+        machine_.WaitForInterrupt();
+        ASSERT_TRUE(previous.Complete(*id).ok());
+      };
+      auto frame2 = machine_.mem().PageSpan(2);
+      std::fill(frame2.begin(), frame2.end(), uint8_t{0xee});
+      for (uint32_t block = 0; block < 4; ++block) {
+        retire(previous.SubmitWrite(block, 2));
+      }
+      retire(previous.SubmitBarrier());
+      retire(previous.SubmitWrite(4, 2));
+      retire(previous.SubmitWrite(5, 2));
+    }
+    // Never-written blocks of the next disk read zero.
+    auto frame3 = machine_.mem().PageSpan(3);
+    for (const uint32_t block : {0u, 11u}) {
+      std::fill(frame3.begin(), frame3.end(), uint8_t{0xa5});
+      ASSERT_TRUE(Retire(disk_.SubmitRead(block, 3)).ok());
+      EXPECT_TRUE(std::all_of(frame3.begin(), frame3.end(), [](uint8_t b) { return b == 0; }))
+          << "block " << block;
+    }
+    // A buffered write fills a pooled block whole.
+    FillFrame(2, 7);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(11, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitRead(11, 3)).ok());
+    for (size_t i = 0; i < kPageBytes; ++i) {
+      ASSERT_EQ(frame3[i], static_cast<uint8_t>(i * 3 + 7)) << "byte " << i;
+    }
+    // A torn prefix onto the never-written block lands over zeros, not
+    // over the pooled block's 0xee.
+    FaultPlan plan;
+    plan.seed = 78;
+    plan.disk_torn_per_mille = 1000;
+    FaultInjector injector(plan);
+    disk_.set_fault_injector(&injector);
+    disk_.PowerCut();
+    ASSERT_EQ(injector.blocks_torn(), 1u);
+    const std::vector<uint8_t> image = disk_.TakeImage();
+    const uint8_t* block = &image[11 * kPageBytes];
+    size_t boundary = 0;
+    while (boundary < kPageBytes && block[boundary] == static_cast<uint8_t>(boundary * 3 + 7)) {
+      ++boundary;
+    }
+    EXPECT_GT(boundary, 0u);
+    EXPECT_LT(boundary, kPageBytes);
+    for (size_t i = boundary; i < kPageBytes; ++i) {
+      ASSERT_EQ(block[i], 0u) << "byte " << i;
+    }
+  });
+}
+
+TEST_F(DiskDurabilityTest, RestoreImageHoldsNoBlockForAZeroBlock) {
+  RunOnCpu([&] {
+    FillFrame(2, 90);
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(3, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitWrite(7, 2)).ok());
+    ASSERT_TRUE(Retire(disk_.SubmitBarrier()).ok());
+    EXPECT_EQ(disk_.platter_blocks(), 2u);
+    // Block 3 is all zero in the image: its block goes back to the pool.
+    std::vector<uint8_t> image = disk_.TakeImage();
+    std::fill_n(image.begin() + 3 * kPageBytes, kPageBytes, uint8_t{0});
+    ASSERT_EQ(disk_.RestoreImage(image), Status::kOk);
+    EXPECT_EQ(disk_.platter_blocks(), 1u);
+    EXPECT_EQ(disk_.TakeImage(), image);
+    ASSERT_EQ(disk_.RestoreImage(std::vector<uint8_t>(128 * kPageBytes)), Status::kOk);
+    EXPECT_EQ(disk_.platter_blocks(), 0u);
   });
 }
 

@@ -27,6 +27,7 @@
 #include "src/exos/server/loadgen.h"
 #include "src/hw/machine.h"
 #include "src/hw/mapping.h"
+#include "src/hw/phys_mem.h"
 #include "src/hw/world.h"
 
 namespace xok::exos::server {
@@ -104,17 +105,33 @@ TEST(Rack, PinnedFingerprints) {
   }
 }
 
-TEST(Rack, SecondRunMapsOnlyItsMachinesMemory) {
-  // Host work, not simulated: a first rack returns its fiber stacks to the
-  // free list, so an identical second one maps each machine's physical
-  // memory and nothing else (no fiber stack, no disk platter).
+TEST(Rack, SecondRunMapsNoMemory) {
+  // Host work, not simulated: a first rack gives its fiber stacks and its
+  // machines' physical memory back to the mapping pool, so an identical
+  // second one maps nothing (no fiber stack, no physical memory, no disk
+  // platter).
   RackConfig config = SmallRack(4);
   config.requests_per_lane = 0;
   ASSERT_TRUE(RunRack(config).ok);
   const uint64_t before = hw::Mapping::made();
   const RackResult r = RunRack(config);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(hw::Mapping::made() - before, 1u + config.server_machines);
+  EXPECT_EQ(hw::Mapping::made() - before, 0u);
+}
+
+TEST(Rack, WarmRunZeroesAPinnedFrameCount) {
+  // Host work, not simulated: each machine zeroes exactly the frames it
+  // handed out writable before its memory goes back to the pool. The run
+  // is deterministic, so the count is the same on every warm run.
+  constexpr uint64_t kFramesZeroedPerRun = 224;
+  RackConfig config = SmallRack(4);
+  config.requests_per_lane = 0;
+  ASSERT_TRUE(RunRack(config).ok);
+  for (int run = 0; run < 2; ++run) {
+    const uint64_t before = hw::PhysMem::frames_zeroed();
+    ASSERT_TRUE(RunRack(config).ok);
+    EXPECT_EQ(hw::PhysMem::frames_zeroed() - before, kFramesZeroedPerRun) << "run " << run;
+  }
 }
 
 TEST(Rack, PowerCutFailsOverAndJournalRecovers) {
