@@ -193,7 +193,7 @@ void PrintPaperTables() {
   stage.Print();
 
   // --- Per-class breakdown: same records, sliced by request class ---
-  Collector collector(Collector::Options{.keep_last = 32, .keep_all = true});
+  Collector collector;
   collector.AddAll(on.trace_records);
   Table cls("Stage p50 by request class (cycles joined per class)",
             {"class", "n", "covered p50", "ring-wait p50", "store p50", "tx p50"});

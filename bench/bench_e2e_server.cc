@@ -20,7 +20,6 @@
 // kernel-queue copy path; ASH fast path on vs off (hot-key latency); and
 // write-ahead journal vs write-back under the PUT mix.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -58,6 +57,7 @@ using exos::server::ParseHttpRequest;
 using exos::server::ParseResponsePayload;
 using exos::server::SummarizeLatencies;
 using exos::server::WorkloadConfig;
+using exos::server::ZipfKeys;
 
 constexpr uint32_t kRequests = 240;
 constexpr uint32_t kKeys = 16;
@@ -168,38 +168,7 @@ RunResult RunExo(const ExoVariant& v) {
 // machine, a server process on kernel UDP sockets with the same parser,
 // the same preloaded values, and the same ParseCost/BuildCost charges —
 // and a client process replaying loadgen's exact seeded request stream
-// (same SplitMix draws, same zipf CDF, same canonical request text).
-struct UltrixClientState {
-  // Mirrors loadgen's rng so both stacks serve the identical key sequence.
-  uint64_t rng_state;
-  std::vector<double> cdf;
-  explicit UltrixClientState(uint64_t seed, uint32_t keys, double zipf_s)
-      : rng_state(seed), cdf(keys, 0.0) {
-    double total = 0.0;
-    for (uint32_t i = 0; i < keys; ++i) {
-      total += 1.0 / std::pow(static_cast<double>(i + 1), zipf_s);
-      cdf[i] = total;
-    }
-    for (double& c : cdf) {
-      c /= total;
-    }
-  }
-  uint64_t Next() {
-    uint64_t z = (rng_state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  uint32_t Below(uint32_t n) { return n == 0 ? 0 : static_cast<uint32_t>(Next() % n); }
-  double Unit() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
-  uint32_t DrawKey() {
-    const double u = Unit();
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    return static_cast<uint32_t>(
-        std::min<ptrdiff_t>(it - cdf.begin(), static_cast<ptrdiff_t>(cdf.size()) - 1));
-  }
-};
-
+// (same SplitMix64 draws, same ZipfKeys, same canonical request text).
 RunResult RunUltrix(uint32_t put_per_mille) {
   hw::Machine machine(hw::Machine::Config{.phys_pages = 4096, .name = "ult"});
   ultrix::Ultrix kernel(machine);
@@ -288,7 +257,8 @@ RunResult RunUltrix(uint32_t put_per_mille) {
     if (!fd.ok() || kernel.SysBindPort(*fd, kClientPort) != Status::kOk) {
       std::abort();
     }
-    UltrixClientState rng(kSeed, kKeys, /*zipf_s=*/1.1);
+    SplitMix64 rng(kSeed);
+    const ZipfKeys zipf(kKeys, /*s=*/1.1);
     std::vector<uint32_t> latest_version(kKeys, 0);
     struct Pending {
       uint64_t sent_at = 0;
@@ -304,8 +274,8 @@ RunResult RunUltrix(uint32_t put_per_mille) {
     const uint64_t t0 = machine.clock().now();
     auto send_next = [&] {
       // The exact draw order loadgen uses: mix draw, then the zipf key.
-      const uint32_t draw = rng.Below(1000);
-      const uint32_t key_index = rng.DrawKey();
+      const auto draw = static_cast<uint32_t>(rng.NextBelow(1000));
+      const uint32_t key_index = zipf.Draw(rng);
       const std::string key = LoadKeyName(key_index);
       Pending pending;
       pending.key_index = static_cast<int>(key_index);

@@ -215,8 +215,7 @@ int main() {
     std::vector<xtrace::Record> records;
     size_t seen = 0;  // Records already attributed to an earlier sample.
     // Stage columns: the same records, joined into per-request timelines.
-    exos::reqtrace::Collector collector(
-        exos::reqtrace::Collector::Options{.keep_last = 8, .keep_all = true});
+    exos::reqtrace::Collector collector;
     size_t timelines_seen = 0;  // Timelines shown in an earlier sample.
     uint64_t last_cycle = p.kernel().SysGetCycles();
     for (uint64_t sample = 1; sample <= 5; ++sample) {

@@ -25,6 +25,9 @@ class SplitMix64 {
   // Uniform in [0, bound). bound must be > 0.
   constexpr uint64_t NextBelow(uint64_t bound) { return Next() % bound; }
 
+  // Uniform in [0, 1), from the top 53 bits of one draw.
+  constexpr double Unit() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+
  private:
   uint64_t state_;
 };

@@ -11,11 +11,17 @@ namespace xok::aegis {
 using cap::Capability;
 using hw::Instr;
 
+namespace {
+// The kernel's capability MAC key.
+constexpr uint64_t kCapKey0 = 0xae915ULL;
+constexpr uint64_t kCapKey1 = 0x50351995ULL;  // SOSP 1995.
+}  // namespace
+
 Aegis::Aegis(hw::Machine& machine, const Config& config)
     : machine_(machine),
       config_(config),
       priv_(machine.InstallKernel(this)),
-      authority_(cap::SipKey{config.cap_key0, config.cap_key1}),
+      authority_(cap::SipKey{kCapKey0, kCapKey1}),
       cpu_(machine.cpu_count()),
       pages_(machine.mem().page_count()),
       stlb_(machine.mem().page_count()) {
@@ -42,10 +48,10 @@ void Aegis::TraceSyscallExit(xtrace::Sys number, uint64_t latency) {
 void Aegis::TraceAppend(xtrace::Event type, uint32_t a0, uint32_t a1, uint32_t a2,
                         uint32_t a3) {
   TraceState& trace = *trace_;
-  std::span<uint8_t> region = machine_.mem().RangeSpan(trace.first_page, trace.pages);
   // Cannot fail: geometry was validated at bind time and is re-derived
   // from the trusted binding record, never from the shared header.
-  xtrace::TraceRingView view = *xtrace::TraceRingView::Attach(region, trace.slots);
+  xtrace::TraceRingView view = *xtrace::TraceRingView::Attach(RegionBytes(trace.region),
+                                                              trace.slots);
   // Drop-oldest: the kernel never stalls on a slow reader. The tail is
   // application memory and untrusted — a scribbled value at worst
   // misreports the owner's own drop counter.
@@ -1077,24 +1083,18 @@ Status Aegis::SysBindTraceRing(const TraceRingSpec& spec, const Capability& regi
   if (spec.pages == 0 || slots == 0 || spec.mask == 0) {
     return Status::kErrInvalidArgs;
   }
-  // Secure binding: the region must be caller-owned contiguous frames and
-  // the caller must prove it with a read/write capability for the first
-  // (same pattern as SysBindPacketRing).
-  if (!HoldsFrames(env.id, spec.first_page, spec.pages) ||
-      !authority_.Check(region_cap, PageResource(spec.first_page),
-                        cap::kRead | cap::kWrite, pages_[spec.first_page].epoch)) {
+  const Region region{spec.first_page, spec.pages};
+  if (!ProvesRegion(env.id, region, region_cap)) {
     return Status::kErrAccessDenied;
   }
-  std::span<uint8_t> region = machine_.mem().RangeSpan(spec.first_page, spec.pages);
   Result<xtrace::TraceRingView> view =
-      xtrace::TraceRingView::Format(region, slots, spec.mask);
+      xtrace::TraceRingView::Format(RegionBytes(region), slots, spec.mask);
   if (!view.ok()) {
     return view.status();
   }
   auto trace = std::make_unique<TraceState>();
   trace->owner = env.id;
-  trace->first_page = spec.first_page;
-  trace->pages = spec.pages;
+  trace->region = region;
   trace->slots = slots;
   trace->mask = spec.mask;
   trace_ = std::move(trace);
@@ -1271,7 +1271,7 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
     if (!owner_ok(trace_->owner)) {
       fail("trace ring bound to killed env " + std::to_string(trace_->owner));
     }
-    if (!HoldsFrames(trace_->owner, trace_->first_page, trace_->pages)) {
+    if (!HoldsFrames(trace_->owner, trace_->region)) {
       fail("trace ring targets a frame its owner lost");
     }
   }
@@ -1341,13 +1341,13 @@ Aegis::AuditReport Aegis::AuditInvariants() const {
            std::to_string(binding.owner));
       continue;
     }
-    if (!HoldsFrames(binding.owner, binding.region_first_page, binding.region_pages)) {
+    if (!HoldsFrames(binding.owner, binding.region)) {
       fail("filter " + std::to_string(id) + " pins a frame its owner lost");
     }
     // A live ring must target frames its owner still holds — otherwise the
     // demux would deposit packets into reclaimed (reallocatable) memory.
-    if (binding.ring.live &&
-        !HoldsFrames(binding.owner, binding.ring.first_page, binding.ring.pages)) {
+    // An unbound ring's region is empty and always held.
+    if (!HoldsFrames(binding.owner, binding.ring.region)) {
       fail("filter " + std::to_string(id) + " ring targets a frame its owner lost");
     }
   }

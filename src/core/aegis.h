@@ -189,8 +189,6 @@ class Aegis final : public hw::TrapSink {
     uint64_t slice_cycles = kDefaultSliceCycles;
     uint32_t slice_count = 64;   // Length of the CPU slice vector.
     uint32_t max_envs = 62;      // Lifetime cap on CreateEnv calls (ids are never reused).
-    uint64_t cap_key0 = 0xae915ULL;
-    uint64_t cap_key1 = 0x50351995ULL;  // SOSP 1995.
   };
 
   explicit Aegis(hw::Machine& machine, const Config& config);
@@ -459,17 +457,28 @@ class Aegis final : public hw::TrapSink {
     uint32_t epoch = 0;
   };
 
-  // Kernel-side state of one bound packet ring. Slot counts and region
-  // bounds are recorded here at bind time and trusted thereafter; the
-  // kernel's producer/consumer cursors also live here (like a NIC's head
-  // register) and are only *published* to the shared header, so nothing
-  // the application scribbles into the shared region can steer a kernel
-  // access outside it.
+  // A run of caller-owned frames bound to a kernel mechanism that writes
+  // into it on the owner's behalf: an ASH's pinned region, a packet ring,
+  // the trace ring. Recorded at bind time (after ProvesRegion) and trusted
+  // thereafter; RegionBytes is the kernel's only way into its bytes.
+  struct Region {
+    hw::PageId first_page = 0;
+    uint32_t pages = 0;  // 0: nothing bound.
+
+    bool Spans(hw::PageId page) const {
+      return page >= first_page && page < first_page + pages;
+    }
+  };
+
+  // Kernel-side state of one bound packet ring. Slot counts and the region
+  // are recorded here at bind time and trusted thereafter; the kernel's
+  // producer/consumer cursors also live here (like a NIC's head register)
+  // and are only *published* to the shared header (net::SharedRing's
+  // trust model).
   struct RingState {
     bool live = false;
     bool batch_doorbells = true;
-    hw::PageId first_page = 0;
-    uint32_t pages = 0;
+    Region region;
     uint32_t rx_slots = 0;
     uint32_t tx_slots = 0;
     uint32_t shed_watermark = 0;  // Bind-time shed policy (0 = disarmed).
@@ -484,8 +493,7 @@ class Aegis final : public hw::TrapSink {
 
     EnvId owner = kNoEnv;
     std::optional<ash::AshProgram> handler;
-    hw::PageId region_first_page = 0;
-    uint32_t region_pages = 0;
+    Region region;  // The pinned (ASH) region; empty without one.
     uint32_t trace_tag_off = 0;  // Frame offset of the kDpfMatch arg3 tag.
     std::deque<std::vector<uint8_t>> queue;  // Non-ASH delivery path.
     RingState ring;
@@ -499,8 +507,7 @@ class Aegis final : public hw::TrapSink {
   // packet-ring trust model).
   struct TraceState {
     EnvId owner = kNoEnv;
-    hw::PageId first_page = 0;
-    uint32_t pages = 0;
+    Region region;
     uint32_t slots = 0;
     uint32_t mask = 0;
     uint32_t head = 0;      // Trusted free-running producer cursor.
@@ -623,8 +630,20 @@ class Aegis final : public hw::TrapSink {
   cap::ResourceId EnvResource(EnvId env) const {
     return cap::ResourceId{cap::ResourceKind::kEnvironment, env};
   }
-  // True if `owner` holds every frame of [first, first + count).
-  bool HoldsFrames(EnvId owner, hw::PageId first, uint32_t count) const;
+  // True if `owner` holds every frame of `region`.
+  bool HoldsFrames(EnvId owner, const Region& region) const;
+  // The secure-binding proof for a region: `env` holds every frame of it
+  // and `region_cap` grants read/write on the first. Charges nothing.
+  bool ProvesRegion(EnvId env, const Region& region, const cap::Capability& region_cap) const;
+  // The bytes of a bound region: the only place the kernel reaches into
+  // environment memory apart from disk DMA. Inline: the demux and the
+  // trace writer take it per frame and per record.
+  std::span<uint8_t> RegionBytes(const Region& region) const {
+    if (region.pages == 0) {
+      return {};
+    }
+    return machine_.mem().RangeSpan(region.first_page, region.pages);
+  }
   // The only release path for a physical page: drops it from its owner's
   // count, frees it, bumps its epoch (outstanding capabilities die) and
   // flushes its bindings. Dealloc, repossession, teardown and pressure
@@ -679,7 +698,6 @@ class Aegis final : public hw::TrapSink {
 
   // Network receive path (interrupt level).
   void HandleRxPacket();
-  std::span<uint8_t> BindingRegion(FilterBinding& binding);
   // View over a live ring's region, parameterised from the *trusted*
   // binding record (never from the shared header).
   net::PacketRingView RingViewOf(const FilterBinding& binding) const;

@@ -66,14 +66,22 @@ void Aegis::ReleasePage(hw::PageId page) {
   FlushPageBindings(page);
 }
 
-bool Aegis::HoldsFrames(EnvId owner, hw::PageId first, uint32_t count) const {
-  for (uint32_t i = 0; i < count; ++i) {
-    const hw::PageId p = first + i;
+bool Aegis::HoldsFrames(EnvId owner, const Region& region) const {
+  for (uint32_t i = 0; i < region.pages; ++i) {
+    const hw::PageId p = region.first_page + i;
     if (p >= pages_.size() || pages_[p].owner != owner) {
       return false;
     }
   }
   return true;
+}
+
+bool Aegis::ProvesRegion(EnvId env, const Region& region, const Capability& region_cap) const {
+  // Holding the run is checked first, so the first frame's epoch is only
+  // read for a frame that exists.
+  return HoldsFrames(env, region) &&
+         authority_.Check(region_cap, PageResource(region.first_page), cap::kRead | cap::kWrite,
+                          pages_[region.first_page].epoch);
 }
 
 Status Aegis::SysTlbWrite(hw::Vaddr va, hw::PageId page, bool writable, const Capability& cap) {
@@ -176,33 +184,29 @@ void Aegis::FlushPageBindings(hw::PageId page) {
   machine_.tlb().FlushPfn(page);
   stlb_.FlushPfn(page);
   ShootdownRemote(page, /*asid_flush=*/false);
-  // Packet-filter bindings are cached bindings too: a ring or pinned ASH
-  // region spanning the reclaimed frame would keep the demux writing into
-  // it at interrupt level after reallocation. Sever them here so every
-  // frame release (ReleasePage) breaks them uniformly.
-  const auto spans = [page](hw::PageId first, uint32_t count) {
-    return page >= first && page < first + count;
-  };
+  // Bound regions are cached bindings too: a packet ring, pinned ASH
+  // region or trace ring spanning the reclaimed frame would keep the kernel
+  // writing into it after reallocation. Sever them here so every frame
+  // release (ReleasePage) breaks them uniformly. An unbound region is
+  // empty and spans nothing.
   for (dpf::FilterId id = 0; id < bindings_.size(); ++id) {
     FilterBinding& binding = bindings_[id];
     if (!binding.live) {
       continue;
     }
-    if (binding.ring.live && spans(binding.ring.first_page, binding.ring.pages)) {
+    if (binding.ring.region.Spans(page)) {
       machine_.Charge(Instr(10));
       binding.ring = RingState{};  // Delivery reverts to the legacy queue.
     }
-    if (binding.region_pages > 0 && spans(binding.region_first_page, binding.region_pages)) {
+    if (binding.region.Spans(page)) {
       // The ASH runs against the whole pinned region; losing any frame of
       // it kills the binding.
       machine_.Charge(Instr(10));
       (void)ReleaseFilter(id);
     }
   }
-  // The trace ring is a cached binding too: losing any frame of it severs
-  // the whole ring, or the kernel would keep appending records into a
-  // reclaimed (and possibly reallocated) frame.
-  if (trace_ != nullptr && spans(trace_->first_page, trace_->pages)) {
+  // Losing any frame of the trace ring severs the whole ring.
+  if (trace_ != nullptr && trace_->region.Spans(page)) {
     machine_.Charge(Instr(10));
     SeverTraceRing();
   }

@@ -23,15 +23,10 @@ Result<dpf::FilterId> Aegis::SysBindFilter(FilterBindSpec spec, const Capability
     machine_.Charge(kSyscallExit);
     return Status::kErrInvalidArgs;  // An ASH needs a pinned region.
   }
-  if (spec.region_pages > 0) {
-    // The region must be caller-owned contiguous frames, and the caller
-    // must prove ownership of the first frame with a write capability.
-    if (!HoldsFrames(env.id, spec.region_first_page, spec.region_pages) ||
-        !authority_.Check(region_cap, PageResource(spec.region_first_page),
-                          cap::kRead | cap::kWrite, pages_[spec.region_first_page].epoch)) {
-      machine_.Charge(kSyscallExit);
-      return Status::kErrAccessDenied;
-    }
+  const Region region{spec.region_first_page, spec.region_pages};
+  if (region.pages > 0 && !ProvesRegion(env.id, region, region_cap)) {
+    machine_.Charge(kSyscallExit);
+    return Status::kErrAccessDenied;
   }
   Result<dpf::FilterId> id = classifier_.Insert(spec.filter);
   if (!id.ok()) {
@@ -44,8 +39,7 @@ Result<dpf::FilterId> Aegis::SysBindFilter(FilterBindSpec spec, const Capability
   FilterBinding& binding = bindings_[*id];
   binding.owner = env.id;
   binding.handler = std::move(spec.handler);
-  binding.region_first_page = spec.region_first_page;
-  binding.region_pages = spec.region_pages;
+  binding.region = region;
   binding.trace_tag_off = spec.trace_tag_off;
   binding.queue.clear();
   binding.ring = RingState{};
@@ -124,11 +118,10 @@ Status Aegis::SysNetSend(std::span<const uint8_t> frame) {
 // --- Zero-copy packet rings ---
 
 net::PacketRingView Aegis::RingViewOf(const FilterBinding& binding) const {
-  std::span<uint8_t> region =
-      machine_.mem().RangeSpan(binding.ring.first_page, binding.ring.pages);
   // Cannot fail: geometry was validated against the region at bind time
   // and is re-derived from the trusted binding record here.
-  return *net::PacketRingView::Attach(region, binding.ring.rx_slots, binding.ring.tx_slots);
+  return *net::PacketRingView::Attach(RegionBytes(binding.ring.region), binding.ring.rx_slots,
+                                      binding.ring.tx_slots);
 }
 
 Status Aegis::SysBindPacketRing(dpf::FilterId id, const PacketRingSpec& spec,
@@ -152,23 +145,18 @@ Status Aegis::SysBindPacketRing(dpf::FilterId id, const PacketRingSpec& spec,
           net::PacketRingView::BytesNeeded(spec.rx_slots, spec.tx_slots)) {
     return Status::kErrInvalidArgs;
   }
-  // Secure binding: the region must be caller-owned contiguous frames and
-  // the caller must prove it with a read/write capability for the first.
-  if (!HoldsFrames(env.id, spec.first_page, spec.pages) ||
-      !authority_.Check(region_cap, PageResource(spec.first_page),
-                        cap::kRead | cap::kWrite, pages_[spec.first_page].epoch)) {
+  const Region region{spec.first_page, spec.pages};
+  if (!ProvesRegion(env.id, region, region_cap)) {
     return Status::kErrAccessDenied;
   }
-  std::span<uint8_t> region = machine_.mem().RangeSpan(spec.first_page, spec.pages);
   Result<net::PacketRingView> view =
-      net::PacketRingView::Format(region, spec.rx_slots, spec.tx_slots);
+      net::PacketRingView::Format(RegionBytes(region), spec.rx_slots, spec.tx_slots);
   if (!view.ok()) {
     return view.status();  // Bad slot counts.
   }
   binding.ring.live = true;
   binding.ring.batch_doorbells = spec.batch_doorbells;
-  binding.ring.first_page = spec.first_page;
-  binding.ring.pages = spec.pages;
+  binding.ring.region = region;
   binding.ring.rx_slots = spec.rx_slots;
   binding.ring.tx_slots = spec.tx_slots;
   binding.ring.shed_watermark = spec.shed_watermark;
@@ -263,13 +251,6 @@ Result<PacketStats> Aegis::SysPacketStats(dpf::FilterId id) {
   return packet_stats(id);
 }
 
-std::span<uint8_t> Aegis::BindingRegion(FilterBinding& binding) {
-  if (binding.region_pages == 0) {
-    return {};
-  }
-  return machine_.mem().RangeSpan(binding.region_first_page, binding.region_pages);
-}
-
 void Aegis::HandleRxPacket() {
   while (true) {
     auto frame = nic_->ReceiveNext();
@@ -316,7 +297,7 @@ void Aegis::HandleRxPacket() {
       };
       services.wake_owner = [this, owner]() { WakeEnvInternal(*owner); };
       const ash::AshOutcome outcome =
-          ash::RunAsh(*binding.handler, *frame, BindingRegion(binding), services);
+          ash::RunAsh(*binding.handler, *frame, RegionBytes(binding.region), services);
       machine_.Charge(outcome.sim_cycles);
     } else if (binding.ring.live) {
       // Ring path: deposit straight into the owner's RX ring at interrupt

@@ -1,7 +1,5 @@
 #include "src/core/xtrace.h"
 
-#include <cstring>
-
 namespace xok::xtrace {
 
 const char* EventName(Event e) {
@@ -93,8 +91,7 @@ uint32_t TraceRingView::SlotsFor(size_t bytes) {
 }
 
 Result<TraceRingView> TraceRingView::Attach(std::span<uint8_t> region, uint32_t slots) {
-  if (slots == 0 ||
-      region.size() < kHeaderBytes + static_cast<size_t>(slots) * kRecordBytes) {
+  if (slots == 0 || region.size() < net::SharedRing::Bytes(slots, kRecordBytes)) {
     return Status::kErrInvalidArgs;
   }
   return TraceRingView(region, slots);
@@ -104,54 +101,21 @@ Result<TraceRingView> TraceRingView::AttachExisting(std::span<uint8_t> region) {
   if (region.size() < kHeaderBytes) {
     return Status::kErrInvalidArgs;
   }
-  TraceRingView probe(region, 1);
-  if (probe.LoadU32(kMagicOff) != kMagic) {
+  const TraceRingView probe(region, 1);
+  if (probe.ring_.magic() != kMagic) {
     return Status::kErrBadState;
   }
-  return Attach(region, probe.LoadU32(kSlotsOff));
+  return Attach(region, probe.ring_.header_slots());
 }
 
 Result<TraceRingView> TraceRingView::Format(std::span<uint8_t> region, uint32_t slots,
                                             uint32_t mask) {
   Result<TraceRingView> view = Attach(region, slots);
-  if (!view.ok()) {
-    return view;
+  if (view.ok()) {
+    view->ring_.Format(kMagic);
+    view->ring_.set_word(mask);
   }
-  std::memset(region.data(), 0, kHeaderBytes);
-  view->StoreU32(kMagicOff, kMagic);
-  view->StoreU32(kSlotsOff, slots);
-  view->StoreU32(kMaskOff, mask);
   return view;
-}
-
-uint32_t TraceRingView::LoadU32(size_t off) const {
-  uint32_t v;
-  std::memcpy(&v, base_ + off, sizeof(v));
-  return v;
-}
-
-uint64_t TraceRingView::LoadU64(size_t off) const {
-  uint64_t v;
-  std::memcpy(&v, base_ + off, sizeof(v));
-  return v;
-}
-
-void TraceRingView::StoreU32(size_t off, uint32_t v) {
-  std::memcpy(base_ + off, &v, sizeof(v));
-}
-
-void TraceRingView::StoreU64(size_t off, uint64_t v) {
-  std::memcpy(base_ + off, &v, sizeof(v));
-}
-
-void TraceRingView::Write(uint32_t index, const Record& record) {
-  std::memcpy(base_ + SlotOff(index), &record, kRecordBytes);
-}
-
-Record TraceRingView::Read(uint32_t index) const {
-  Record record;
-  std::memcpy(&record, base_ + SlotOff(index), kRecordBytes);
-  return record;
 }
 
 }  // namespace xok::xtrace

@@ -8,19 +8,19 @@
 // counters readable via SysEnvStats. All decoding, aggregation, and
 // reporting is untrusted library code (src/exos/tracelib).
 //
-// Ring layout (all little-endian, accessed through memcpy so the region
-// is just bytes):
+// Ring layout: one net::SharedRing (src/net/shm_ring.h states the header,
+// the free-running index rule and the trust model once) with 32-byte
+// Record slots:
 //
 //   [header 64 bytes | slots * 32-byte Record]
 //
-// Header: {magic, slots, head, tail, mask, pad, dropped u64}. The kernel
-// owns `head` (free-running producer index, published from a trusted
+// The header's user word holds the bind-time event mask and its counter
+// the drop count. The kernel owns `head` (published from a trusted
 // kernel-side cursor exactly like the packet rings); the reader owns
 // `tail`. Writes never stall: when head - tail reaches the slot count the
 // kernel keeps writing (drop-oldest) and counts the overwritten records
-// in `dropped`. The tail is untrusted — a hostile value can at worst
-// misreport the owner's own drop count; every byte offset the kernel
-// uses derives from the bind-time slot count, never from shared memory.
+// in `dropped`. A hostile tail can at worst misreport the owner's own
+// drop count.
 //
 // Cost model: the per-record stores land in the R3000 write buffer and
 // the per-env counters model free-running hardware event counters, so
@@ -34,9 +34,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "src/base/result.h"
+#include "src/net/shm_ring.h"
 
 namespace xok::xtrace {
 
@@ -235,7 +237,7 @@ struct LatencyHist {
 class TraceRingView {
  public:
   static constexpr uint32_t kMagic = 0x78747247;  // "xtrG"
-  static constexpr uint32_t kHeaderBytes = 64;
+  static constexpr uint32_t kHeaderBytes = net::SharedRing::kHeaderBytes;
 
   TraceRingView() = default;
 
@@ -252,42 +254,32 @@ class TraceRingView {
   static Result<TraceRingView> Format(std::span<uint8_t> region, uint32_t slots,
                                       uint32_t mask);
 
-  uint32_t slots() const { return slots_; }
+  uint32_t slots() const { return ring_.slots(); }
 
-  // Shared-header accessors (u32/u64, memcpy'd; all untrusted to readers).
-  uint32_t head() const { return LoadU32(kHeadOff); }
-  uint32_t tail() const { return LoadU32(kTailOff); }
-  uint32_t mask() const { return LoadU32(kMaskOff); }
-  uint64_t dropped() const { return LoadU64(kDroppedOff); }
-  void set_head(uint32_t v) { StoreU32(kHeadOff, v); }
-  void set_tail(uint32_t v) { StoreU32(kTailOff, v); }
-  void set_dropped(uint64_t v) { StoreU64(kDroppedOff, v); }
+  // Shared-header accessors (all untrusted to readers).
+  uint32_t head() const { return ring_.head(); }
+  uint32_t tail() const { return ring_.tail(); }
+  uint32_t mask() const { return ring_.word(); }
+  uint64_t dropped() const { return ring_.counter(); }
+  void set_head(uint32_t v) { ring_.set_head(v); }
+  void set_tail(uint32_t v) { ring_.set_tail(v); }
+  void set_dropped(uint64_t v) { ring_.set_counter(v); }
 
   // Raw record access; `index` is free-running (reduced modulo slots).
-  void Write(uint32_t index, const Record& record);
-  Record Read(uint32_t index) const;
-
- private:
-  static constexpr uint32_t kMagicOff = 0;
-  static constexpr uint32_t kSlotsOff = 4;
-  static constexpr uint32_t kHeadOff = 8;
-  static constexpr uint32_t kTailOff = 12;
-  static constexpr uint32_t kMaskOff = 16;
-  static constexpr uint32_t kDroppedOff = 24;  // 8-byte aligned.
-
-  TraceRingView(std::span<uint8_t> region, uint32_t slots)
-      : base_(region.data()), slots_(slots) {}
-
-  uint32_t LoadU32(size_t off) const;
-  uint64_t LoadU64(size_t off) const;
-  void StoreU32(size_t off, uint32_t v);
-  void StoreU64(size_t off, uint64_t v);
-  size_t SlotOff(uint32_t index) const {
-    return kHeaderBytes + static_cast<size_t>(index % slots_) * kRecordBytes;
+  void Write(uint32_t index, const Record& record) {
+    std::memcpy(ring_.Slot(index), &record, kRecordBytes);
+  }
+  Record Read(uint32_t index) const {
+    Record record;
+    std::memcpy(&record, ring_.Slot(index), kRecordBytes);
+    return record;
   }
 
-  uint8_t* base_ = nullptr;
-  uint32_t slots_ = 0;
+ private:
+  TraceRingView(std::span<uint8_t> region, uint32_t slots)
+      : ring_(region.data(), region.data() + kHeaderBytes, slots, kRecordBytes) {}
+
+  net::SharedRing ring_;
 };
 
 }  // namespace xok::xtrace

@@ -277,25 +277,10 @@ void Collector::Finalize(uint32_t req_id, Pending& p) {
       }
     }
   }
-  Retain(std::move(t));
-}
-
-void Collector::Retain(RequestTimeline&& timeline) {
-  if (options_.keep_all) {
-    all_.push_back(timeline);
-  }
-  recent_.push_back(std::move(timeline));
-  while (recent_.size() > options_.keep_last) {
-    recent_.pop_front();
-  }
+  all_.push_back(std::move(t));
 }
 
 const RequestTimeline* Collector::Find(uint32_t req_id) const {
-  for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
-    if (it->req_id == req_id) {
-      return &*it;
-    }
-  }
   for (auto it = all_.rbegin(); it != all_.rend(); ++it) {
     if (it->req_id == req_id) {
       return &*it;
@@ -306,7 +291,7 @@ const RequestTimeline* Collector::Find(uint32_t req_id) const {
 
 std::vector<RequestTimeline> AssembleTimelines(
     std::span<const xtrace::Record> records) {
-  Collector collector(Collector::Options{.keep_last = 0, .keep_all = true});
+  Collector collector;
   collector.AddAll(records);
   return collector.all();
 }

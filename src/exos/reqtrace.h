@@ -30,7 +30,6 @@
 #define XOK_EXOS_REQTRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -122,14 +121,6 @@ uint64_t Percentile(std::span<const uint64_t> sorted, uint32_t per_mille);
 // timelines survive in the ring pages and reassemble after the fact.
 class Collector {
  public:
-  struct Options {
-    size_t keep_last = 32;  // Flight-recorder depth (complete timelines).
-    bool keep_all = false;  // Also retain every complete timeline.
-  };
-
-  Collector() : Collector(Options{}) {}
-  explicit Collector(Options options) : options_(options) {}
-
   // `machine` tags the record stream's origin when several machines feed
   // one collector (a World rack drains one TraceSession per machine).
   // Request ids, worker envs and disk request ids are only unique within
@@ -137,12 +128,9 @@ class Collector {
   void Add(const xtrace::Record& record, uint16_t machine = 0);
   void AddAll(std::span<const xtrace::Record> records, uint16_t machine = 0);
 
-  // Flight recorder: the last keep_last completed timelines, oldest first.
-  const std::deque<RequestTimeline>& recent() const { return recent_; }
-  // Every completed timeline (keep_all only).
+  // Every completed timeline, in completion order.
   const std::vector<RequestTimeline>& all() const { return all_; }
-  // Most recent completed timeline for `req_id` (nullptr if none). Only
-  // timelines retained by the flight recorder / keep_all are searchable.
+  // Most recent completed timeline for `req_id` (nullptr if none).
   const RequestTimeline* Find(uint32_t req_id) const;
 
   uint64_t completed(Class c) const {
@@ -183,9 +171,7 @@ class Collector {
   };
 
   void Finalize(uint32_t req_id, Pending& p);
-  void Retain(RequestTimeline&& timeline);
 
-  Options options_;
   // Keyed by machine << 32 | req_id.
   std::unordered_map<uint64_t, Pending> pending_;
   // (machine, env) -> request currently open in that worker (enter seen,
@@ -199,7 +185,6 @@ class Collector {
   // Keyed by machine << 32 | disk request id.
   std::unordered_map<uint64_t, DiskIo> disk_inflight_;
 
-  std::deque<RequestTimeline> recent_;
   std::vector<RequestTimeline> all_;
   uint64_t completed_[kClassCount] = {};
   xtrace::LatencyHist hist_[kClassCount][kSpanCount];

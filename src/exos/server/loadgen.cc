@@ -14,21 +14,6 @@ namespace xok::exos::server {
 
 namespace {
 
-// SplitMix64: the stream is a pure function of the seed, so a failing
-// chaos seed replays exactly (print the seed, rerun with XOK_CHAOS_SEEDS).
-struct SplitMix {
-  uint64_t state;
-  explicit SplitMix(uint64_t seed) : state(seed) {}
-  uint64_t Next() {
-    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  uint32_t Below(uint32_t n) { return n == 0 ? 0 : static_cast<uint32_t>(Next() % n); }
-  double Unit() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
-};
-
 enum class Kind : uint8_t { kGet, kPut, kMalformed, kOversized, kQuit };
 
 // Readiness probes take ids from a range data requests never reach, so a
@@ -55,8 +40,8 @@ struct Pending {
 // Garbage HTTP text variants for the malformed arm: every one has a valid
 // envelope (so it reaches a worker) and must be answered 400 — none may
 // ever equal a canonical request, and none may crash the parser.
-std::string MalformedText(SplitMix& rng, std::string_view key) {
-  switch (rng.Below(8)) {
+std::string MalformedText(SplitMix64& rng, std::string_view key) {
+  switch (rng.NextBelow(8)) {
     case 0: return "get /" + std::string(key) + " HTTP/1.0\r\n\r\n";   // Lowercase method.
     case 1: return "GET " + std::string(key) + " HTTP/1.0\r\n\r\n";    // No leading '/'.
     case 2: return "GET /" + std::string(key) + " HTTP/1.1\r\n\r\n";   // Wrong version.
@@ -68,7 +53,7 @@ std::string MalformedText(SplitMix& rng, std::string_view key) {
     default: {
       std::string junk(24, '\0');
       for (char& c : junk) {
-        c = static_cast<char>(1 + rng.Below(255));  // Binary noise.
+        c = static_cast<char>(1 + rng.NextBelow(255));  // Binary noise.
       }
       return junk;
     }
@@ -92,6 +77,23 @@ std::string LoadKeyName(uint32_t i) {
   name[0] = 'k';
   std::copy(digits, end, name.end() - static_cast<ptrdiff_t>(n));
   return name;
+}
+
+ZipfKeys::ZipfKeys(uint32_t keys, double s) : cdf_(keys, 0.0) {
+  double total_weight = 0.0;
+  for (uint32_t i = 0; i < keys; ++i) {
+    total_weight += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf_[i] = total_weight;
+  }
+  for (double& c : cdf_) {
+    c /= total_weight;
+  }
+}
+
+uint32_t ZipfKeys::Draw(SplitMix64& rng) const {
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), rng.Unit());
+  return static_cast<uint32_t>(
+      std::min<ptrdiff_t>(it - cdf_.begin(), static_cast<ptrdiff_t>(cdf_.size()) - 1));
 }
 
 std::string MakeValue(std::string_view key, uint32_t version, uint32_t value_bytes) {
@@ -189,23 +191,10 @@ double LoadStats::Rps() const {
 LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
                      const WorkloadConfig& config) {
   LoadStats stats;
-  SplitMix rng(config.seed);
-
-  // Zipf CDF over the key universe: weight(i) = 1/(i+1)^s.
-  std::vector<double> cdf(config.keys, 0.0);
-  double total_weight = 0.0;
-  for (uint32_t i = 0; i < config.keys; ++i) {
-    total_weight += 1.0 / std::pow(static_cast<double>(i + 1), config.zipf_s);
-    cdf[i] = total_weight;
-  }
-  for (double& c : cdf) {
-    c /= total_weight;
-  }
-  auto draw_key = [&] {
-    const double u = rng.Unit();
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    return static_cast<uint32_t>(std::min<ptrdiff_t>(it - cdf.begin(), config.keys - 1));
-  };
+  // The stream is a pure function of the seed, so a failing chaos seed
+  // replays exactly (print the seed, rerun with XOK_CHAOS_SEEDS).
+  SplitMix64 rng(config.seed);
+  const ZipfKeys zipf(config.keys, config.zipf_s);
 
   const std::string hot_key = target.hot_key.empty() ? LoadKeyName(0) : target.hot_key;
   std::vector<std::string> key_names(config.keys);
@@ -340,7 +329,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   // Jitter draws come off their own stream so turning them on (or a
   // different retry history) never perturbs which requests the workload
   // sends — the data stream stays a pure function of the seed.
-  SplitMix retry_rng(config.seed ^ 0x7265747279ull);  // "retry"
+  SplitMix64 retry_rng(config.seed ^ 0x7265747279ull);  // "retry"
   auto retry_wait = [&](Pending& pending) {
     uint64_t wait = pending.backoff;
     // QUITs never back off: one per shard is no load, and a worker that
@@ -379,8 +368,8 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
       pending.deadline = proc.kernel().SysGetCycles() + config.request_ttl_cycles;
     }
     const uint64_t ttl = pending.deadline;  // Into the envelope (0 = none).
-    const uint32_t draw = rng.Below(1000);
-    const uint32_t key_index = draw_key();
+    const auto draw = static_cast<uint32_t>(rng.NextBelow(1000));
+    const uint32_t key_index = zipf.Draw(rng);
     const std::string& key = key_names[key_index];
     if (draw < config.malformed_per_mille) {
       pending.kind = Kind::kMalformed;
@@ -694,8 +683,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   // Critical-path assembly: join every drained record into per-request
   // timelines and aggregate the all-requests class. Library policy over
   // kernel mechanism end to end — the kernel only ever saw 32-byte records.
-  reqtrace::Collector collector(
-      reqtrace::Collector::Options{.keep_last = 32, .keep_all = true});
+  reqtrace::Collector collector;
   if (!stats.trace_records.empty()) {
     collector.AddAll(stats.trace_records);
     stats.reqs.timelines = collector.completed(reqtrace::Class::kAll);

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/rand.h"
 #include "src/core/xtrace.h"
 #include "src/exos/reqtrace.h"
 #include "src/exos/server/httpkv.h"
@@ -47,6 +48,19 @@ int ParseValueVersion(std::string_view key, std::string_view body, uint32_t valu
 // Preload image shared by server and client: every key at version 0.
 std::vector<std::pair<std::string, std::string>> MakePreload(uint32_t keys,
                                                              uint32_t value_bytes);
+
+// Zipf key popularity over `keys` (> 0) keys: weight(i) = 1/(i+1)^s.
+// Draw turns one rng.Unit() into a key index; RunLoadGen and the Ultrix
+// baseline client in bench_e2e_server both draw through it, so a seed
+// names one key stream on either stack.
+class ZipfKeys {
+ public:
+  ZipfKeys(uint32_t keys, double s);
+  uint32_t Draw(SplitMix64& rng) const;
+
+ private:
+  std::vector<double> cdf_;
+};
 
 struct WorkloadConfig {
   uint64_t seed = 1;

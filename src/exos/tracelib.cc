@@ -12,42 +12,17 @@ Status TraceSession::Bind(const TraceConfig& config) {
     return Status::kErrInvalidArgs;
   }
   aegis::Aegis& kernel = proc_.kernel();
-  // Hunt for a contiguous run of free frames (cf. UdpSocket::BindRing:
-  // physical names are exposed so applications make placement decisions).
-  const uint32_t page_count = proc_.machine().mem().page_count();
-  for (hw::PageId start = 0; start + config.pages <= page_count && pages_.empty();) {
-    std::vector<aegis::PageGrant> run;
-    hw::PageId next_start = start + config.pages;
-    for (uint32_t i = 0; i < config.pages; ++i) {
-      Result<aegis::PageGrant> grant = kernel.SysAllocPage(start + i);
-      if (!grant.ok()) {
-        next_start = start + i + 1;
-        break;
-      }
-      run.push_back(*grant);
-    }
-    if (run.size() == config.pages) {
-      pages_ = std::move(run);
-      break;
-    }
-    for (const aegis::PageGrant& grant : run) {
-      (void)kernel.SysDeallocPage(grant.page, grant.cap);
-    }
-    start = next_start;
-  }
-  if (pages_.empty()) {
-    return Status::kErrNoResources;
+  const Status placed = pages_.Allocate(kernel, config.pages);
+  if (placed != Status::kOk) {
+    return placed;
   }
   aegis::TraceRingSpec spec;
-  spec.first_page = pages_.front().page;
+  spec.first_page = pages_.first_page();
   spec.pages = config.pages;
   spec.mask = config.mask;
-  const Status bound = kernel.SysBindTraceRing(spec, pages_.front().cap);
+  const Status bound = kernel.SysBindTraceRing(spec, pages_.first_cap());
   if (bound != Status::kOk) {
-    for (const aegis::PageGrant& grant : pages_) {
-      (void)kernel.SysDeallocPage(grant.page, grant.cap);
-    }
-    pages_.clear();
+    pages_.Release(kernel);
     return bound;
   }
   std::span<uint8_t> region = proc_.machine().mem().RangeSpan(spec.first_page, spec.pages);
@@ -62,26 +37,13 @@ Status TraceSession::RepairAfterRepossession(std::span<const hw::PageId> taken) 
   if (!view_.has_value()) {
     return Status::kOk;
   }
-  bool severed = false;
-  for (const aegis::PageGrant& grant : pages_) {
-    if (std::find(taken.begin(), taken.end(), grant.page) != taken.end()) {
-      severed = true;
-      break;
-    }
-  }
-  if (!severed) {
+  if (std::none_of(taken.begin(), taken.end(),
+                   [this](hw::PageId page) { return pages_.Spans(page); })) {
     return Status::kOk;
   }
   ++repairs_;
   view_.reset();
-  // Surviving pages still belong to us; the repossessed ones' capabilities
-  // are void (epoch bump), so skip them rather than collect denials.
-  for (const aegis::PageGrant& grant : pages_) {
-    if (std::find(taken.begin(), taken.end(), grant.page) == taken.end()) {
-      (void)proc_.kernel().SysDeallocPage(grant.page, grant.cap);
-    }
-  }
-  pages_.clear();
+  pages_.Release(proc_.kernel(), taken);
   const TraceConfig config = config_;
   return Bind(config);
 }
@@ -92,10 +54,7 @@ Status TraceSession::Close() {
   }
   const Status status = proc_.kernel().SysUnbindTraceRing();
   view_.reset();
-  for (const aegis::PageGrant& grant : pages_) {
-    (void)proc_.kernel().SysDeallocPage(grant.page, grant.cap);
-  }
-  pages_.clear();
+  pages_.Release(proc_.kernel());
   return status;
 }
 

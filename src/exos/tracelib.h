@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/xtrace.h"
+#include "src/exos/frame_run.h"
 #include "src/exos/process.h"
 
 namespace xok::exos {
@@ -33,8 +34,8 @@ class TraceSession {
  public:
   explicit TraceSession(Process& proc) : proc_(proc) {}
 
-  // Allocates a contiguous run of frames (physical names exposed, same
-  // placement hunt as the packet rings), formats the ring, and binds it.
+  // Allocates a contiguous run of frames (FrameRun's placement hunt, as
+  // for the packet rings), formats the ring, and binds it.
   Status Bind(const TraceConfig& config = {});
   // Unbinds and releases the frames.
   Status Close();
@@ -44,8 +45,8 @@ class TraceSession {
   // Physical placement of the bound ring. A clean exit retains the
   // binding and the frames, so a host-side reader can DecodeRegion the
   // same span post-mortem.
-  hw::PageId first_page() const { return pages_.empty() ? 0 : pages_.front().page; }
-  uint32_t page_count() const { return static_cast<uint32_t>(pages_.size()); }
+  hw::PageId first_page() const { return pages_.first_page(); }
+  uint32_t page_count() const { return pages_.pages(); }
 
   // Returns the next unread record and advances the shared tail cursor;
   // kErrWouldBlock once drained. If the producer lapped us (drop-oldest),
@@ -71,7 +72,7 @@ class TraceSession {
  private:
   Process& proc_;
   std::optional<xtrace::TraceRingView> view_;
-  std::vector<aegis::PageGrant> pages_;
+  FrameRun pages_;
   TraceConfig config_;   // Geometry/mask to rebuild with after a repair.
   uint32_t tail_ = 0;    // Free-running reader cursor (mirrors the header).
   uint64_t lapped_ = 0;

@@ -48,56 +48,27 @@ Status UdpSocket::BindRing(uint16_t port, const RingConfig& config,
   aegis::Aegis& kernel = proc_.kernel();
   const size_t bytes = net::PacketRingView::BytesNeeded(config.rx_slots, config.tx_slots);
   const uint32_t pages = static_cast<uint32_t>((bytes + hw::kPageBytes - 1) / hw::kPageBytes);
-  // Hunt for a contiguous run of free frames. Physical names are exposed
-  // to applications precisely so they can make placement decisions like
-  // this (paper §3.1); the kernel only checks ownership at bind time.
-  const uint32_t page_count = proc_.machine().mem().page_count();
-  for (hw::PageId start = 0; start + pages <= page_count && ring_pages_.empty();) {
-    std::vector<aegis::PageGrant> run;
-    hw::PageId next_start = start + pages;
-    for (uint32_t i = 0; i < pages; ++i) {
-      Result<aegis::PageGrant> grant = kernel.SysAllocPage(start + i);
-      if (!grant.ok()) {
-        next_start = start + i + 1;
-        break;
-      }
-      run.push_back(*grant);
-    }
-    if (run.size() == pages) {
-      ring_pages_ = std::move(run);
-      break;
-    }
-    for (const aegis::PageGrant& grant : run) {
-      (void)kernel.SysDeallocPage(grant.page, grant.cap);
-    }
-    start = next_start;
+  const Status placed = ring_pages_.Allocate(kernel, pages);
+  if (placed != Status::kOk) {
+    return placed;
   }
-  if (ring_pages_.empty()) {
-    return Status::kErrNoResources;
-  }
-  auto release_pages = [this, &kernel]() {
-    for (const aegis::PageGrant& grant : ring_pages_) {
-      (void)kernel.SysDeallocPage(grant.page, grant.cap);
-    }
-    ring_pages_.clear();
-  };
   const Status bound = Bind(port);
   if (bound != Status::kOk) {
-    release_pages();
+    ring_pages_.Release(kernel);
     return bound;
   }
   aegis::PacketRingSpec spec;
-  spec.first_page = ring_pages_.front().page;
+  spec.first_page = ring_pages_.first_page();
   spec.pages = pages;
   spec.rx_slots = config.rx_slots;
   spec.tx_slots = config.tx_slots;
   spec.batch_doorbells = config.batch_doorbells;
   spec.shed_watermark = config.shed_watermark;
-  const Status ring = kernel.SysBindPacketRing(*binding_, spec, ring_pages_.front().cap);
+  const Status ring = kernel.SysBindPacketRing(*binding_, spec, ring_pages_.first_cap());
   if (ring != Status::kOk) {
     (void)kernel.SysUnbindFilter(*binding_);
     binding_.reset();
-    release_pages();
+    ring_pages_.Release(kernel);
     return ring;
   }
   std::span<uint8_t> region = proc_.machine().mem().RangeSpan(spec.first_page, pages);
@@ -123,14 +94,7 @@ Status UdpSocket::RepairAfterRepossession(std::span<const hw::PageId> taken) {
     }
     ++repairs_;
     ring_.reset();
-    // Surviving region pages still belong to us; a repossessed page's
-    // capability fails dealloc harmlessly on the epoch bump, so skip it.
-    for (const aegis::PageGrant& grant : ring_pages_) {
-      if (std::find(taken.begin(), taken.end(), grant.page) == taken.end()) {
-        (void)proc_.kernel().SysDeallocPage(grant.page, grant.cap);
-      }
-    }
-    ring_pages_.clear();
+    ring_pages_.Release(proc_.kernel(), taken);
     if (!filter_dead) {
       // Ring severed but the filter survived: unbind it so the rebind below
       // rebuilds both halves (delivery already reverted to the queue).
@@ -165,10 +129,7 @@ Status UdpSocket::Close() {
   }
   const Status status = proc_.kernel().SysUnbindFilter(*binding_);
   binding_.reset();
-  for (const aegis::PageGrant& grant : ring_pages_) {
-    (void)proc_.kernel().SysDeallocPage(grant.page, grant.cap);
-  }
-  ring_pages_.clear();
+  ring_pages_.Release(proc_.kernel());
   port_ = 0;  // A closed socket must never be "repaired" back to life.
   want_ring_ = false;
   legacy_fallback_ = false;

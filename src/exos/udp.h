@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/dpf/tcpip_filters.h"
+#include "src/exos/frame_run.h"
 #include "src/exos/process.h"
 #include "src/net/pktring.h"
 #include "src/net/wire.h"
@@ -142,7 +143,7 @@ class UdpSocket {
   uint16_t port_ = 0;
   std::optional<dpf::FilterId> binding_;
   std::optional<net::PacketRingView> ring_;
-  std::vector<aegis::PageGrant> ring_pages_;  // Contiguous run backing the rings.
+  FrameRun ring_pages_;      // Contiguous run backing the rings.
   RingConfig ring_config_;   // Geometry to rebuild with after a repair.
   std::vector<dpf::Atom> extra_atoms_;  // Filter refinement beyond the port.
   uint32_t trace_tag_off_ = 0;  // kDpfMatch arg3 tag offset (0 = untagged).

@@ -106,13 +106,6 @@ Pid Ultrix::SysGetPid() {
   return pid;
 }
 
-uint64_t Ultrix::SysGetTime() {
-  ChargeSyscallEntry();
-  const uint64_t now = machine_.clock().now();
-  ChargeSyscallExit();
-  return now;
-}
-
 void Ultrix::SysYield() {
   ChargeSyscallEntry();
   machine_.Charge(kContextSwitch);

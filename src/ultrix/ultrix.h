@@ -70,7 +70,6 @@ class Ultrix final : public hw::TrapSink {
 
   void SysNull();
   Pid SysGetPid();
-  uint64_t SysGetTime();
   void SysYield();  // Voluntary reschedule: full context switch.
   void SysSleep(uint64_t cycles);  // Sleep for at least `cycles`.
   [[noreturn]] void SysExit();

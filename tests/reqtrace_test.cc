@@ -193,18 +193,23 @@ TEST(CollectorTest, ClassesFollowStatusFlagsAndPath) {
   EXPECT_EQ(collector.completed(Class::kHot), 2u);
 }
 
-TEST(CollectorTest, FlightRecorderKeepsTheLastKAndFindPrefersNewest) {
-  Collector collector(Collector::Options{.keep_last = 2, .keep_all = false});
+TEST(CollectorTest, KeepsEveryTimelineAndFindPrefersNewest) {
+  Collector collector;
   for (uint32_t id = 1; id <= 5; ++id) {
     collector.Add(Mark(id * 100, 5, id, kPhaseEnter, 0));
     collector.Add(Mark(id * 100 + 10, 5, id, kPhaseExit, 200, 0));
   }
-  EXPECT_EQ(collector.completed(Class::kAll), 5u);
-  ASSERT_EQ(collector.recent().size(), 2u);
-  EXPECT_EQ(collector.recent().front().req_id, 4u);
-  EXPECT_EQ(collector.recent().back().req_id, 5u);
-  EXPECT_EQ(collector.Find(3), nullptr);  // Aged out of the recorder.
-  ASSERT_NE(collector.Find(5), nullptr);
+  // A second machine reuses request id 3 later on.
+  collector.Add(Mark(900, 5, 3, kPhaseEnter, 0), /*machine=*/1);
+  collector.Add(Mark(950, 5, 3, kPhaseExit, 200, 0), /*machine=*/1);
+  EXPECT_EQ(collector.completed(Class::kAll), 6u);
+  ASSERT_EQ(collector.all().size(), 6u);
+  EXPECT_EQ(collector.all().front().req_id, 1u);
+  ASSERT_NE(collector.Find(1), nullptr);  // Nothing ages out.
+  const RequestTimeline* three = collector.Find(3);
+  ASSERT_NE(three, nullptr);
+  EXPECT_EQ(three->first_cycle, 900u);  // The newest timeline for the id.
+  EXPECT_EQ(collector.Find(6), nullptr);
 }
 
 TEST(CollectorTest, RetransmitsAndDuplicateMarksDoNotMoveBoundaries) {
