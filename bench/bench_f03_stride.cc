@@ -36,7 +36,7 @@ StrideResult RunStride(uint32_t t0, uint32_t t1, uint32_t t2, uint32_t slices) {
   }
   StrideResult result;
   exos::Process sched(kernel, [&](exos::Process& p) {
-    exos::StrideScheduler stride(p);
+    exos::StrideScheduler stride(p.kernel());
     stride.AddClient(workers[0]->id(), t0);
     stride.AddClient(workers[1]->id(), t1);
     stride.AddClient(workers[2]->id(), t2);

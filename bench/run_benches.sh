@@ -1,22 +1,7 @@
 #!/bin/sh
 # Runs one suite of benches and merges their google-benchmark JSON outputs
-# into a single report:
-#   net   — DPF demux, ASH/UDP roundtrip, packet rings  -> BENCH_net.json
-#   fs    — file-cache policy and journaling ablations  -> BENCH_fs.json
-#   trace — xtrace observability cost ablation          -> BENCH_trace.json
-#   smp   — multi-CPU scaling and shootdown cost        -> BENCH_smp.json
-#   pressure — throughput under revocation storms, plus the
-#              reclaim cost tables (teardown, revocation) -> BENCH_pressure.json
-#   server — end-to-end HTTP/KV serving vs Ultrix       -> BENCH_server.json
-#   overload — goodput vs offered load, shed on/off    -> BENCH_overload.json
-#   reqtrace — per-request critical-path attribution   -> BENCH_reqtrace.json
-#   rack  — multi-machine rack scaling + power-cut failover -> BENCH_rack.json
-#   paper — the paper's tables and figures (T2–T6, T8–T10, T12, F2, F3)
-#           plus the STLB, DPF, ASH ILP, page-table and yield
-#           ablations                                  -> BENCH_paper.json
-#
-# bench_t01_machine (Table 1, the simulated machine's parameters) is in no
-# suite: it is not a google-benchmark binary and writes no JSON.
+# into a single report, BENCH_<suite>.json by default. The suites and their
+# members are listed in suites.txt next to this script.
 #
 # The trace suite additionally arms the kernel event ring in every bench
 # boot (--xok_trace) and writes one TRACE_<bench>.json event summary next
@@ -30,66 +15,18 @@
 set -eu
 
 suite="${1:-net}"
-case "$suite" in
-  net)
-    benches="bench_t07_dpf bench_t11_ash_net bench_abl_pktring"
-    default_out="BENCH_net.json"
-    with_trace=0
-    ;;
-  fs)
-    benches="bench_abl_file_cache bench_abl_journal"
-    default_out="BENCH_fs.json"
-    with_trace=0
-    ;;
-  trace)
-    benches="bench_abl_trace"
-    default_out="BENCH_trace.json"
-    with_trace=1
-    ;;
-  smp)
-    benches="bench_abl_smp"
-    default_out="BENCH_smp.json"
-    with_trace=0
-    ;;
-  pressure)
-    benches="bench_abl_pressure bench_abl_teardown bench_abl_revocation"
-    default_out="BENCH_pressure.json"
-    with_trace=0
-    ;;
-  server)
-    benches="bench_e2e_server"
-    default_out="BENCH_server.json"
-    with_trace=0
-    ;;
-  overload)
-    benches="bench_abl_overload"
-    default_out="BENCH_overload.json"
-    with_trace=0
-    ;;
-  reqtrace)
-    benches="bench_abl_reqtrace"
-    default_out="BENCH_reqtrace.json"
-    with_trace=0
-    ;;
-  rack)
-    benches="bench_abl_rack"
-    default_out="BENCH_rack.json"
-    with_trace=0
-    ;;
-  paper)
-    benches="bench_t02_null_call bench_t03_primops bench_t04_ctx_switch
-             bench_t05_exceptions bench_t06_pct bench_t08_ipc bench_t09_vm_matrix
-             bench_t10_appel_li bench_t12_tlrpc bench_f02_ash_scaling bench_f03_stride
-             bench_abl_stlb bench_abl_dpf bench_abl_ash_ilp bench_abl_page_table
-             bench_abl_yield"
-    default_out="BENCH_paper.json"
-    with_trace=0
-    ;;
-  *)
-    echo "run_benches: unknown suite '$suite' (expected: net, fs, trace, smp, pressure, server, overload, reqtrace, rack, paper)" >&2
-    exit 2
-    ;;
-esac
+suites_file="$(dirname "$0")/suites.txt"
+benches="$(awk -v s="$suite" '$1 == s { for (i = 2; i <= NF; i++) print $i }' "$suites_file")"
+if [ -z "$benches" ]; then
+  known="$(awk '!/^#/ && NF { print $1 }' "$suites_file" | uniq | paste -sd ' ' -)"
+  echo "run_benches: unknown suite '$suite' (expected one of: $known)" >&2
+  exit 2
+fi
+default_out="BENCH_$suite.json"
+with_trace=0
+if [ "$suite" = "trace" ]; then
+  with_trace=1
+fi
 
 out="${2:-$default_out}"
 out_dir="$(dirname "$out")"

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   }
 
   exos::Process scheduler(kernel, [&](exos::Process& p) {
-    exos::StrideScheduler stride(p);
+    exos::StrideScheduler stride(p.kernel());
     for (int i = 0; i < 3; ++i) {
       stride.AddClient(workers[i]->id(), tickets[i]);
     }

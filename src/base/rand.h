@@ -16,7 +16,12 @@ class SplitMix64 {
 
   constexpr uint64_t Next() {
     state_ += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = state_;
+    return Mix(state_);
+  }
+
+  // The finalizer on its own: a bijective 64-bit avalanche, also usable
+  // to spread the bits of a weaker hash.
+  static constexpr uint64_t Mix(uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);

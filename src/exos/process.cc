@@ -23,11 +23,9 @@ Process::Process(aegis::Aegis& kernel, std::function<void(Process&)> main,
   spec.handlers.pct_sync = [this](const PctArgs& args) {
     return pct_server_ ? pct_server_(args) : PctArgs{};
   };
-  spec.handlers.pct_async = [this](const PctArgs& args) {
-    if (pct_async_) {
-      pct_async_(args);
-    }
-  };
+  // Async PCTs are accepted (the kernel charges each delivery) and
+  // dropped: no ExOS component handles them.
+  spec.handlers.pct_async = [](const PctArgs&) {};
   spec.handlers.revoke = [this](uint32_t pages) { OnRevoke(pages); };
 
   Result<aegis::EnvGrant> grant = kernel_.CreateEnv(std::move(spec));

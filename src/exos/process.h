@@ -49,9 +49,6 @@ class Process {
   void set_pct_server(std::function<aegis::PctArgs(const aegis::PctArgs&)> server) {
     pct_server_ = std::move(server);
   }
-  void set_pct_async(std::function<void(const aegis::PctArgs&)> handler) {
-    pct_async_ = std::move(handler);
-  }
   void set_revoke_handler(std::function<void(uint32_t)> handler) {
     revoke_ = std::move(handler);
   }
@@ -66,7 +63,6 @@ class Process {
   cap::Capability env_cap_;
   std::function<aegis::ExcAction(const hw::TrapFrame&)> raw_exception_;
   std::function<aegis::PctArgs(const aegis::PctArgs&)> pct_server_;
-  std::function<void(const aegis::PctArgs&)> pct_async_;
   std::function<void(uint32_t)> revoke_;
 };
 

@@ -273,7 +273,6 @@ void Collector::Finalize(uint32_t req_id, Pending& p) {
     for (uint32_t s = 0; s < kSpanCount; ++s) {
       if (t.seen[s]) {
         samples_[c][s].push_back(t.span[s]);
-        hist_[c][s].Add(t.span[s]);
       }
     }
   }

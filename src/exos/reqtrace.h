@@ -139,9 +139,6 @@ class Collector {
   // Requests observed but never closed (e.g. cut off by a crash).
   uint64_t incomplete() const { return pending_.size(); }
 
-  const xtrace::LatencyHist& hist(Class c, Span s) const {
-    return hist_[static_cast<uint32_t>(c)][static_cast<uint32_t>(s)];
-  }
   // Raw samples (arrival order, NOT sorted): per-(class, span) cycles and
   // per-class covered totals (sum of observed spans per request).
   const std::vector<uint64_t>& samples(Class c, Span s) const {
@@ -187,7 +184,6 @@ class Collector {
 
   std::vector<RequestTimeline> all_;
   uint64_t completed_[kClassCount] = {};
-  xtrace::LatencyHist hist_[kClassCount][kSpanCount];
   std::vector<uint64_t> samples_[kClassCount][kSpanCount];
   std::vector<uint64_t> covered_[kClassCount];
 };

@@ -67,6 +67,12 @@ uint32_t KeyHash(std::string_view key);
 inline uint8_t ShardByte(std::string_view key) {
   return static_cast<uint8_t>(KeyHash(key) & 0xff);
 }
+// The worker that serves `key` on a server of `workers` (a power of two,
+// at most 256): the low bits of the shard byte, which is what the DPF
+// shard atom steers on.
+inline uint32_t ShardOf(std::string_view key, uint32_t workers) {
+  return ShardByte(key) & (workers - 1);
+}
 
 enum class Method : uint8_t { kGet, kPut, kQuit };
 

@@ -203,11 +203,7 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   }
 
   UdpSocket sock(proc, target.iface);
-  Status bound = sock.BindRing(config.client_port, config.ring);
-  if (bound != Status::kOk) {
-    bound = sock.Bind(config.client_port);
-  }
-  if (bound != Status::kOk) {
+  if (sock.BindRing(config.client_port, config.ring) != Status::kOk) {
     stats.unexpected = ~0ull;  // Could not even bind; poison the stats.
     return stats;
   }
@@ -312,19 +308,11 @@ LoadStats RunLoadGen(Process& proc, const LoadGenTarget& target,
   uint64_t next_send_at = 0;  // Open-loop pacing cursor (set post-warmup).
 
   auto transmit = [&](const std::vector<uint8_t>& payload) {
-    if (sock.ring_bound()) {
-      if (sock.QueueTo(target.server_ip, target.server_port, payload) != Status::kOk) {
-        (void)sock.SendTo(target.server_ip, target.server_port, payload);
-      }
-    } else {
+    if (sock.QueueTo(target.server_ip, target.server_port, payload) != Status::kOk) {
       (void)sock.SendTo(target.server_ip, target.server_port, payload);
     }
   };
-  auto flush = [&] {
-    if (sock.ring_bound()) {
-      (void)sock.FlushTx();
-    }
-  };
+  auto flush = [&] { (void)sock.FlushTx(); };
 
   // Jitter draws come off their own stream so turning them on (or a
   // different retry history) never perturbs which requests the workload

@@ -36,16 +36,7 @@ uint64_t RingHash(std::string_view s) {
   // constant, which collapses the ring: every point clusters in one band
   // and all keys wrap to the lowest point. Finalize with an avalanche
   // (SplitMix64's mixer) so placement uses the full 64-bit order.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
-}
-
-uint32_t ShardOfKey(std::string_view key, uint32_t workers) {
-  return ShardByte(key) & (workers - 1);
+  return SplitMix64::Mix(h);
 }
 
 }  // namespace
@@ -241,7 +232,7 @@ void RunRackLane(Process& p, uint32_t lane, LaneShared& sh) {
         std::string key;
         for (uint32_t k = 0; k < cfg.keys; ++k) {
           key = LoadKeyName(k);
-          if (ShardOfKey(key, cfg.cpus_per_server) == shard) {
+          if (ShardOf(key, cfg.cpus_per_server) == shard) {
             break;
           }
         }

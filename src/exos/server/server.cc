@@ -45,7 +45,7 @@ KvServer::KvServer(aegis::Aegis& kernel, KvServerConfig config)
   if (config_.stride_slices_per_cpu > 0) {
     // Placeholder slots now; each worker incarnation Retargets its slot
     // to its fresh environment id from inside WorkerMain.
-    stride_ = std::make_unique<SmpStrideScheduler>(kernel_);
+    stride_ = std::make_unique<StrideScheduler>(kernel_);
     for (uint32_t i = 0; i < n; ++i) {
       workers_[i]->stride_slot =
           stride_->AddClient(aegis::kNoEnv, kWorkerStrideTickets, i % cpus);
@@ -224,9 +224,9 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
     (void)proc.kernel().SysKillEnv(proc.id(), proc.env_cap());
   };
 
-  // The receive path comes up FIRST: ring if configured (falling back to
-  // the legacy queue when no contiguous page run exists), refined to this
-  // worker's shard of the key space by the masked payload atom. Binding
+  // The receive path comes up FIRST: ring if configured (BindRing falls
+  // back to the legacy queue when no contiguous page run exists), refined
+  // to this worker's shard of the key space by the masked payload atom. Binding
   // before the (slow, journaled) storage setup means requests arriving
   // during format/preload queue in the ring instead of timing out against
   // an unbound port — exactly why Cheetah owned its own receive buffers.
@@ -237,13 +237,9 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
     sock.set_trace_tag_off(net::kUdpPayloadOff + 1);
   }
   std::vector<dpf::Atom> shard_atoms{ShardAtom(shard, config_.workers)};
-  Status bound = Status::kErrInternal;
-  if (config_.use_rings) {
-    bound = sock.BindRing(config_.port, config_.ring, shard_atoms);
-  }
-  if (bound != Status::kOk) {
-    bound = sock.Bind(config_.port, shard_atoms);
-  }
+  const Status bound = config_.use_rings
+                           ? sock.BindRing(config_.port, config_.ring, std::move(shard_atoms))
+                           : sock.Bind(config_.port, std::move(shard_atoms));
   if (bound != Status::kOk) {
     return fail();
   }
@@ -266,7 +262,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
   }
   KvStore store(proc, fs->get(), config_.kv_cache_entries);
   for (const auto& [key, value] : config_.preload) {
-    if (ShardOf(key) != shard) {
+    if (ShardOf(key, config_.workers) != shard) {
       continue;
     }
     if (store.Put(key, value) != Status::kOk) {
@@ -279,7 +275,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
 
   if (config_.use_ash) {
     for (const std::string& key : config_.hot_keys) {
-      if (ShardOf(key) != shard) {
+      if (ShardOf(key, config_.workers) != shard) {
         continue;
       }
       Result<const KvStore::Entry*> entry = store.Get(key);
@@ -574,10 +570,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
     std::vector<uint8_t> resp(kRespHeaderBytes + resp_text.size());
     net::PutBe32(resp, 0, req_id);
     std::copy(resp_text.begin(), resp_text.end(), resp.begin() + kRespHeaderBytes);
-    const Status sent = sock.ring_bound()
-                            ? sock.QueueTo(dgram.src_ip, dgram.src_port, resp)
-                            : sock.SendTo(dgram.src_ip, dgram.src_port, resp);
-    if (sent != Status::kOk) {
+    if (sock.QueueTo(dgram.src_ip, dgram.src_port, resp) != Status::kOk) {
       ++ws.stats.send_errors;
     }
     if (config_.trace_requests) {
@@ -630,9 +623,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
       }
       dgram = std::move(*next);
     }
-    if (sock.ring_bound()) {
-      (void)sock.FlushTx();
-    }
+    (void)sock.FlushTx();
     (void)rc.Poll();
     if (store_err_streak > 16) {
       ++ws.stats.store_crashes;
@@ -664,9 +655,7 @@ void KvServer::WorkerMain(Process& proc, uint32_t shard) {
     Result<Datagram> dgram = sock.Recv(/*blocking=*/false);
     if (dgram.ok()) {
       handle(*dgram, 0);
-      if (sock.ring_bound()) {
-        (void)sock.FlushTx();
-      }
+      (void)sock.FlushTx();
       continue;
     }
     if (dgram.status() != Status::kErrWouldBlock) {

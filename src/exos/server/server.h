@@ -18,7 +18,7 @@
 // deeper ASH filter above the worker's ring filter for the same traffic.
 //
 // Workers run under a Supervisor (crash restart with backoff) and are
-// scheduled by an application-level SmpStrideScheduler; a restarted
+// scheduled by an application-level StrideScheduler; a restarted
 // worker re-registers its stride slot (Retarget) and rebinds its filters
 // under the fresh environment id. The kernel never learns what a
 // "request", "worker", or "shard" is.
@@ -142,16 +142,13 @@ class KvServer {
   bool ok() const { return supervisor_ != nullptr && supervisor_->ok(); }
 
   uint32_t workers() const { return config_.workers; }
-  uint32_t ShardOf(std::string_view key) const {
-    return KeyHash(key) & (config_.workers - 1);
-  }
   // The masked payload atom implementing the shard split (offset = the
   // envelope's shard byte; mask = workers-1). Exposed for tests that
   // build their own filters against the same key space.
   static dpf::Atom ShardAtom(uint32_t shard, uint32_t workers);
 
   Supervisor& supervisor() { return *supervisor_; }
-  SmpStrideScheduler* stride() { return stride_.get(); }
+  StrideScheduler* stride() { return stride_.get(); }
   const WorkerStats& worker_stats(uint32_t shard) const {
     return workers_[shard]->stats;
   }
@@ -194,7 +191,7 @@ class KvServer {
   KvServerConfig config_;
   SteerState steer_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  std::unique_ptr<SmpStrideScheduler> stride_;
+  std::unique_ptr<StrideScheduler> stride_;
   std::unique_ptr<Supervisor> supervisor_;  // Last: spawns at Run start.
 };
 

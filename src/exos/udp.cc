@@ -48,34 +48,29 @@ Status UdpSocket::BindRing(uint16_t port, const RingConfig& config,
   aegis::Aegis& kernel = proc_.kernel();
   const size_t bytes = net::PacketRingView::BytesNeeded(config.rx_slots, config.tx_slots);
   const uint32_t pages = static_cast<uint32_t>((bytes + hw::kPageBytes - 1) / hw::kPageBytes);
-  const Status placed = ring_pages_.Allocate(kernel, pages);
-  if (placed != Status::kOk) {
-    return placed;
-  }
-  const Status bound = Bind(port);
-  if (bound != Status::kOk) {
+  if (ring_pages_.Allocate(kernel, pages) == Status::kOk) {
+    if (Bind(port) == Status::kOk) {
+      aegis::PacketRingSpec spec;
+      spec.first_page = ring_pages_.first_page();
+      spec.pages = pages;
+      spec.rx_slots = config.rx_slots;
+      spec.tx_slots = config.tx_slots;
+      spec.batch_doorbells = config.batch_doorbells;
+      spec.shed_watermark = config.shed_watermark;
+      if (kernel.SysBindPacketRing(*binding_, spec, ring_pages_.first_cap()) == Status::kOk) {
+        std::span<uint8_t> region = proc_.machine().mem().RangeSpan(spec.first_page, pages);
+        ring_ = *net::PacketRingView::Attach(region, config.rx_slots, config.tx_slots);
+        ring_config_ = config;
+        want_ring_ = true;
+        return Status::kOk;
+      }
+      (void)kernel.SysUnbindFilter(*binding_);
+      binding_.reset();
+    }
     ring_pages_.Release(kernel);
-    return bound;
   }
-  aegis::PacketRingSpec spec;
-  spec.first_page = ring_pages_.first_page();
-  spec.pages = pages;
-  spec.rx_slots = config.rx_slots;
-  spec.tx_slots = config.tx_slots;
-  spec.batch_doorbells = config.batch_doorbells;
-  spec.shed_watermark = config.shed_watermark;
-  const Status ring = kernel.SysBindPacketRing(*binding_, spec, ring_pages_.first_cap());
-  if (ring != Status::kOk) {
-    (void)kernel.SysUnbindFilter(*binding_);
-    binding_.reset();
-    ring_pages_.Release(kernel);
-    return ring;
-  }
-  std::span<uint8_t> region = proc_.machine().mem().RangeSpan(spec.first_page, pages);
-  ring_ = *net::PacketRingView::Attach(region, config.rx_slots, config.tx_slots);
-  ring_config_ = config;
-  want_ring_ = true;
-  return Status::kOk;
+  // No ring: the kernel-queue path needs no pages.
+  return Bind(port);
 }
 
 Status UdpSocket::RepairAfterRepossession(std::span<const hw::PageId> taken) {
@@ -106,16 +101,9 @@ Status UdpSocket::RepairAfterRepossession(std::span<const hw::PageId> taken) {
   // a rebind can fail transiently under the very pressure storm that
   // forced the repair, and one failed attempt must not deafen the socket
   // forever.
-  if (want_ring_) {
-    const Status ring = BindRing(port, ring_config_, extra_atoms_);
-    if (ring == Status::kOk) {
-      legacy_fallback_ = false;
-      return Status::kOk;
-    }
-  }
-  // Rebind-or-fallback: the legacy queue path needs no pages.
-  const Status bound = Bind(port, extra_atoms_);
-  legacy_fallback_ = bound == Status::kOk && want_ring_;
+  // A ring socket rebinds its ring, or falls back to the queue itself.
+  const Status bound = want_ring_ ? BindRing(port, ring_config_) : Bind(port);
+  legacy_fallback_ = bound == Status::kOk && want_ring_ && !ring_.has_value();
   return bound;
 }
 
@@ -137,43 +125,40 @@ Status UdpSocket::Close() {
 }
 
 Status UdpSocket::SendTo(uint32_t dst_ip, uint16_t dst_port, std::span<const uint8_t> payload) {
-  if (ring_.has_value()) {
-    const Status queued = QueueTo(dst_ip, dst_port, payload);
-    if (queued != Status::kOk) {
-      return queued;
-    }
-    Result<uint32_t> sent = FlushTx();
-    return sent.ok() ? Status::kOk : sent.status();
+  const Status queued = QueueTo(dst_ip, dst_port, payload);
+  if (queued != Status::kOk) {
+    return queued;
   }
-  proc_.machine().Charge(kHeaderBuild + CksumCost(payload.size() + net::kUdpHeaderBytes) +
-                         CksumCost(net::kIpHeaderBytes));
-  const uint64_t dst_mac = iface_.resolve ? iface_.resolve(dst_ip) : hw::kBroadcastMac;
-  std::vector<uint8_t> frame =
-      net::BuildUdpFrame(dst_mac, iface_.mac, iface_.ip, dst_ip, port_, dst_port, payload);
-  return proc_.kernel().SysNetSend(frame);
+  Result<uint32_t> sent = FlushTx();
+  return sent.ok() ? Status::kOk : sent.status();
 }
 
 Status UdpSocket::QueueTo(uint32_t dst_ip, uint16_t dst_port, std::span<const uint8_t> payload) {
-  if (!ring_.has_value()) {
-    return Status::kErrBadState;
-  }
   const size_t bytes = net::UdpFrameBytes(payload.size());
-  if (bytes > net::PacketRingView::kSlotDataBytes) {
-    return Status::kErrOutOfRange;
-  }
-  if (ring_->TxFull()) {
-    // Make room by draining what is already queued (one doorbell).
-    Result<uint32_t> flushed = FlushTx();
-    if (!flushed.ok()) {
-      return flushed.status();
+  if (ring_.has_value()) {
+    if (bytes > net::PacketRingView::kSlotDataBytes) {
+      return Status::kErrOutOfRange;
     }
     if (ring_->TxFull()) {
-      return Status::kErrWouldBlock;
+      // Make room by draining what is already queued (one doorbell).
+      Result<uint32_t> flushed = FlushTx();
+      if (!flushed.ok()) {
+        return flushed.status();
+      }
+      if (ring_->TxFull()) {
+        return Status::kErrWouldBlock;
+      }
     }
   }
   proc_.machine().Charge(kHeaderBuild + CksumCost(payload.size() + net::kUdpHeaderBytes) +
                          CksumCost(net::kIpHeaderBytes));
   const uint64_t dst_mac = iface_.resolve ? iface_.resolve(dst_ip) : hw::kBroadcastMac;
+  if (!ring_.has_value()) {
+    // No TX ring to fill: the frame goes to the kernel at once.
+    const std::vector<uint8_t> frame =
+        net::BuildUdpFrame(dst_mac, iface_.mac, iface_.ip, dst_ip, port_, dst_port, payload);
+    return proc_.kernel().SysNetSend(frame);
+  }
   // Zero-copy build: the frame is assembled directly in the TX slot.
   const uint32_t head = ring_->tx_head();
   std::span<uint8_t> slot = ring_->TxSlotData(head, static_cast<uint32_t>(bytes));
@@ -183,8 +168,8 @@ Status UdpSocket::QueueTo(uint32_t dst_ip, uint16_t dst_port, std::span<const ui
 }
 
 Result<uint32_t> UdpSocket::FlushTx() {
-  if (!ring_.has_value() || !binding_.has_value()) {
-    return Status::kErrBadState;
+  if (!ring_.has_value()) {
+    return 0u;  // A queue socket sent each frame when it was queued.
   }
   return proc_.kernel().SysTxRing(*binding_);
 }

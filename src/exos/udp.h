@@ -10,7 +10,10 @@
 //     straight into a shared-memory RX ring the socket owns; Recv parses
 //     them in place (no receive syscall, no kernel-to-user frame copy) and
 //     SendTo/QueueTo build frames directly in TX-ring slots, draining a
-//     whole batch with one SysTxRing doorbell;
+//     whole batch with one SysTxRing doorbell. When no contiguous page run
+//     can back the rings, BindRing binds the ordinary path instead;
+//     callers need not know which they got: on a queue socket QueueTo
+//     sends at once and FlushTx has nothing to do;
 //   * the ASH path (BindEchoAsh below / exos tests) — a downloaded handler
 //     vectors or answers the message at interrupt time.
 #ifndef XOK_SRC_EXOS_UDP_H_
@@ -69,19 +72,24 @@ class UdpSocket {
   Status Bind(uint16_t port, std::vector<dpf::Atom> extra = {});
   // Bind + zero-copy rings: allocates a contiguous run of pages, formats
   // the ring pair in them, and registers it with the kernel. Matched
-  // frames then bypass the kernel queue entirely.
+  // frames then bypass the kernel queue entirely. If any step of the ring
+  // fails, it is undone and the socket binds the kernel-queue path
+  // (ring_bound() false); the status is then Bind's.
   Status BindRing(uint16_t port, const RingConfig& config = {},
                   std::vector<dpf::Atom> extra = {});
   Status Close();
 
   // Builds the frame (headers + checksums are application code, charged as
-  // such) and hands it to the kernel for transmission. On a ring socket
-  // the frame is assembled in a TX slot and the doorbell rung immediately.
+  // such) and hands it to the kernel for transmission: QueueTo, then
+  // FlushTx.
   Status SendTo(uint32_t dst_ip, uint16_t dst_port, std::span<const uint8_t> payload);
-  // Ring sockets only: queue without ringing the doorbell. A batch of
-  // QueueTo calls followed by one FlushTx costs one kernel crossing total.
+  // On a ring socket, assembles the frame in a TX slot without ringing the
+  // doorbell: a batch of QueueTo calls followed by one FlushTx costs one
+  // kernel crossing total. A queue socket has no TX ring, so the frame
+  // goes to the kernel at once.
   Status QueueTo(uint32_t dst_ip, uint16_t dst_port, std::span<const uint8_t> payload);
   // Transmits everything queued in the TX ring; returns the frame count.
+  // On a queue socket: 0, and nothing is charged.
   Result<uint32_t> FlushTx();
 
   // Receives the next datagram. Blocking: Waits (no deadline) until one
@@ -124,10 +132,11 @@ class UdpSocket {
   // Post-revocation repair: rebinds whatever the kernel reclaimed. A
   // reclaimed filter (SysPacketStats reports the binding gone) or a
   // severed ring (a region page repossessed) triggers a full rebind with
-  // the original geometry; when no contiguous page run is available the
-  // socket falls back to the legacy kernel-queue path, which needs no
-  // pages at all. Frames queued at the moment of repair are dropped —
-  // UDP. `taken` is the vector from SysReadRepossessed.
+  // the original geometry (BindRing again, with its fallback to the
+  // legacy kernel-queue path, which needs no pages at all). A socket
+  // whose first BindRing already fell back rebinds the queue. Frames
+  // queued at the moment of repair are dropped — UDP. `taken` is the
+  // vector from SysReadRepossessed.
   Status RepairAfterRepossession(std::span<const hw::PageId> taken);
   uint64_t repairs() const { return repairs_; }
   // True while the socket runs on the legacy queue because a ring rebind

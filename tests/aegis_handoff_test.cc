@@ -102,7 +102,7 @@ TEST(AegisHandoff, StrideSlicesDonatedToABlockedClientSwitchNothing) {
     client.entry = [&kernel] { kernel.SysSleep(kernel.slice_cycles() * 100); };
     Result<EnvGrant> grant = kernel.CreateEnv(std::move(client));
     EXPECT_TRUE(grant.ok());
-    exos::SmpStrideScheduler stride(kernel);
+    exos::StrideScheduler stride(kernel);
     stride.AddClient(grant->env, 1, /*home_cpu=*/0);
     EXPECT_TRUE(stride.Start(slices));
     const uint64_t before = Fiber::switches();

@@ -318,7 +318,7 @@ TEST_F(AegisSmpTest, SmpStrideHonoursGlobalProportions) {
   // one on CPU 1, with tickets 3:1:1:1. Pass state is global, so the
   // ticket ratios must hold over the whole machine.
   using exos::Process;
-  using exos::SmpStrideScheduler;
+  using exos::StrideScheduler;
 
   std::vector<std::unique_ptr<Process>> workers;
   bool stop = false;
@@ -334,7 +334,7 @@ TEST_F(AegisSmpTest, SmpStrideHonoursGlobalProportions) {
     ASSERT_TRUE(workers.back()->ok());
   }
 
-  SmpStrideScheduler stride(kernel_);
+  StrideScheduler stride(kernel_);
   stride.AddClient(workers[0]->id(), 3, /*home_cpu=*/0);
   stride.AddClient(workers[1]->id(), 1, /*home_cpu=*/0);
   stride.AddClient(workers[2]->id(), 1, /*home_cpu=*/0);
@@ -367,7 +367,7 @@ TEST_F(AegisSmpTest, SmpStrideHandsOffIdleCpus) {
   // run lists and must donate their slices to the global minimum-pass
   // client instead of idling (work conservation).
   using exos::Process;
-  using exos::SmpStrideScheduler;
+  using exos::StrideScheduler;
 
   std::vector<std::unique_ptr<Process>> workers;
   bool stop = false;
@@ -383,7 +383,7 @@ TEST_F(AegisSmpTest, SmpStrideHandsOffIdleCpus) {
     ASSERT_TRUE(workers.back()->ok());
   }
 
-  SmpStrideScheduler stride(kernel_);
+  StrideScheduler stride(kernel_);
   stride.AddClient(workers[0]->id(), 1, /*home_cpu=*/0);
   stride.AddClient(workers[1]->id(), 1, /*home_cpu=*/0);
   ASSERT_TRUE(stride.Start(/*slices_per_cpu=*/20));

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/rand.h"
@@ -331,7 +333,7 @@ TEST_F(ExosIpcTest, StrideSchedulerHonoursProportions) {
     ASSERT_TRUE(workers[i]->ok());
   }
   Process sched(kernel_, [&](Process& p) {
-    StrideScheduler stride(p);
+    StrideScheduler stride(p.kernel());
     stride.AddClient(workers[0]->id(), 3);
     stride.AddClient(workers[1]->id(), 2);
     stride.AddClient(workers[2]->id(), 1);
@@ -368,7 +370,7 @@ TEST_F(ExosIpcTest, StrideAllocationErrorBoundedAtEveryPrefix) {
     ASSERT_TRUE(workers[i]->ok());
   }
   Process sched(kernel_, [&](Process& p) {
-    StrideScheduler stride(p);
+    StrideScheduler stride(p.kernel());
     for (int i = 0; i < 3; ++i) {
       stride.AddClient(workers[i]->id(), tickets[i]);
     }
@@ -390,6 +392,93 @@ TEST_F(ExosIpcTest, StrideAllocationErrorBoundedAtEveryPrefix) {
           << "client " << c << " at slice " << t;
     }
   }
+}
+
+TEST_F(ExosIpcTest, StrideThreeTwoOneHistoryIsPinned) {
+  // Figure 3's run, pick by pick: 3:2:1 tickets over 150 slices. A client
+  // is written as 'A' + its AddClient index. Equal passes go to the lowest
+  // index, so a change of tie-break moves this string.
+  std::string history;
+  std::array<std::unique_ptr<Process>, 3> workers;
+  bool stop = false;
+  for (auto& worker : workers) {
+    worker = std::make_unique<Process>(
+        kernel_,
+        [&stop](Process& p) {
+          while (!stop) {
+            p.machine().Charge(p.kernel().slice_cycles() * 2);
+          }
+        },
+        Process::Options{.slices = 0, .demand_zero = true});
+    ASSERT_TRUE(worker->ok());
+  }
+  Process sched(kernel_, [&](Process& p) {
+    StrideScheduler stride(p.kernel());
+    stride.AddClient(workers[0]->id(), 3);
+    stride.AddClient(workers[1]->id(), 2);
+    stride.AddClient(workers[2]->id(), 1);
+    stride.RunSlices(150);
+    for (const size_t client : stride.history()) {
+      history.push_back(static_cast<char>('A' + client));
+    }
+    stop = true;
+  });
+  ASSERT_TRUE(sched.ok());
+  kernel_.Run();
+
+  EXPECT_EQ(history,
+            "AABAABCABAABCABAABCABAABCABAABCABAABCABAABCABAABCA"
+            "BAABCABAABCABAABCABAABCABAABCABAABCABAABCABAABCABA"
+            "ABCABAABCABAABCABAABCABAABCABAABCABAABCABAABCABAAB");
+}
+
+struct StrideRun {
+  std::vector<size_t> history;
+  std::vector<uint64_t> allocations;
+};
+
+// Three compute-bound clients with `tickets` share `slices` slices of a
+// fresh uniprocessor. The pick loop runs inline in an ordinary process
+// (RunSlices) or in the scheduler's own pinned process (Start).
+StrideRun RunThreeClients(const std::array<uint32_t, 3>& tickets, uint32_t slices, bool start) {
+  hw::Machine machine(hw::Machine::Config{.phys_pages = 256, .name = "stride"});
+  aegis::Aegis kernel(machine);
+  StrideScheduler stride(kernel);
+  std::array<std::unique_ptr<Process>, 3> workers;
+  for (auto& worker : workers) {
+    worker = std::make_unique<Process>(
+        kernel,
+        [&stride, slices](Process& p) {
+          while (stride.history().size() < slices) {
+            p.machine().Charge(p.kernel().slice_cycles() * 2);
+          }
+        },
+        Process::Options{.slices = 0, .demand_zero = true});
+    EXPECT_TRUE(worker->ok());
+  }
+  for (size_t i = 0; i < workers.size(); ++i) {
+    stride.AddClient(workers[i]->id(), tickets[i]);
+  }
+  std::unique_ptr<Process> inline_scheduler;
+  if (start) {
+    EXPECT_TRUE(stride.Start(slices));
+  } else {
+    inline_scheduler =
+        std::make_unique<Process>(kernel, [&stride, slices](Process&) { stride.RunSlices(slices); });
+    EXPECT_TRUE(inline_scheduler->ok());
+  }
+  kernel.Run();
+  return StrideRun{stride.history(), stride.allocations()};
+}
+
+TEST(StrideSchedulerTest, StartOnOneCpuPicksWhatAnInlineRunPicks) {
+  // On one CPU every client is homed on CPU 0, so the pinned scheduler
+  // process that Start spawns makes exactly the inline loop's picks.
+  const StrideRun started = RunThreeClients({5, 3, 2}, 120, /*start=*/true);
+  const StrideRun inlined = RunThreeClients({5, 3, 2}, 120, /*start=*/false);
+  ASSERT_EQ(inlined.history.size(), 120u);
+  EXPECT_EQ(started.history, inlined.history);
+  EXPECT_EQ(started.allocations, inlined.allocations);
 }
 
 }  // namespace

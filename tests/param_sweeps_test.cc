@@ -99,7 +99,7 @@ TEST_P(StrideSweep, AllocationsMatchTickets) {
   std::vector<uint64_t> allocations;
   constexpr uint32_t kSlices = 240;
   exos::Process sched(kernel, [&](exos::Process& p) {
-    exos::StrideScheduler stride(p);
+    exos::StrideScheduler stride(p.kernel());
     stride.AddClient(workers[0]->id(), t0);
     stride.AddClient(workers[1]->id(), t1);
     stride.AddClient(workers[2]->id(), t2);

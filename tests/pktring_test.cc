@@ -746,5 +746,60 @@ TEST_F(PktRingExosTest, QueueToBatchesFramesIntoOneDoorbell) {
   EXPECT_EQ(seen, (std::vector<uint8_t>{0, 1, 2, 3, 4}));
 }
 
+TEST_F(PktRingExosTest, RingSocketWithoutAPageRunBindsTheQueue) {
+  // The sender holds every other frame of its machine, so no two free
+  // frames are adjacent and BindRing cannot place its rings: it binds the
+  // kernel queue instead. QueueTo then sends each frame at once, and
+  // FlushTx has nothing to send and charges nothing.
+  std::vector<uint8_t> seen;
+  Process receiver(kernel_b_, [&](Process& p) {
+    exos::UdpSocket socket(p, IfaceB());
+    ASSERT_EQ(socket.BindRing(200), Status::kOk);
+    EXPECT_TRUE(socket.ring_bound());
+    for (int i = 0; i < 2; ++i) {
+      Result<exos::Datagram> dgram = socket.Recv();
+      ASSERT_TRUE(dgram.ok());
+      seen.push_back(dgram->payload[0]);
+    }
+    EXPECT_EQ(socket.Close(), Status::kOk);
+  });
+  bool sender_done = false;
+  Process sender(kernel_a_, [&](Process& p) {
+    std::vector<aegis::PageGrant> held;
+    for (Result<aegis::PageGrant> grant = p.kernel().SysAllocPage(); grant.ok();
+         grant = p.kernel().SysAllocPage()) {
+      held.push_back(*grant);
+    }
+    ASSERT_GT(held.size(), 2u);
+    for (size_t i = 0; i < held.size(); i += 2) {
+      ASSERT_EQ(p.kernel().SysDeallocPage(held[i].page, held[i].cap), Status::kOk);
+    }
+    exos::UdpSocket socket(p, IfaceA());
+    ASSERT_EQ(socket.BindRing(100), Status::kOk);
+    EXPECT_FALSE(socket.ring_bound());
+    ASSERT_TRUE(socket.filter_id().has_value());
+    p.kernel().SysSleep(hw::kClockHz / 100);  // Let the receiver bind.
+    for (uint8_t i = 0; i < 2; ++i) {
+      const uint64_t before = nic_a_.frames_transmitted();
+      const std::vector<uint8_t> payload = {i};
+      ASSERT_EQ(socket.QueueTo(2, 200, payload), Status::kOk);
+      EXPECT_EQ(nic_a_.frames_transmitted(), before + 1);  // Sent at once.
+    }
+    const uint64_t before_flush = p.machine().clock().now();
+    Result<uint32_t> flushed = socket.FlushTx();
+    ASSERT_TRUE(flushed.ok());
+    EXPECT_EQ(*flushed, 0u);
+    EXPECT_EQ(p.machine().clock().now(), before_flush);
+    EXPECT_EQ(socket.Close(), Status::kOk);
+    sender_done = true;
+  });
+  ASSERT_TRUE(receiver.ok());
+  ASSERT_TRUE(sender.ok());
+  RunWorld();
+  EXPECT_TRUE(sender_done);
+  EXPECT_EQ(seen, (std::vector<uint8_t>{0, 1}));
+  EXPECT_TRUE(kernel_a_.AuditInvariants().ok());
+}
+
 }  // namespace
 }  // namespace xok

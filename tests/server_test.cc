@@ -765,7 +765,7 @@ TEST(KvServerTest, TwoWorkerShardSplitStarvesCatchAll) {
   // Both shards served their split of the key space.
   uint32_t shard_keys[2] = {0, 0};
   for (uint32_t i = 0; i < workload.keys; ++i) {
-    ++shard_keys[server.ShardOf(LoadKeyName(i))];
+    ++shard_keys[ShardOf(LoadKeyName(i), server.workers())];
   }
   uint64_t total_gets = 0;
   for (uint32_t i = 0; i < 2; ++i) {
